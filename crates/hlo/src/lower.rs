@@ -93,14 +93,13 @@ pub fn lower(
         if ctx.spilled[root.index()] {
             continue;
         }
-        let deps = ctx.produced[root.index()].clone();
         let bytes = node.shape.bytes(graph.dtype());
         ctx.plan.push_tagged(
             StepKind::DmaOut {
                 to: MemLevel::Hbm,
                 bytes,
             },
-            &deps,
+            &ctx.produced[root.index()],
             "output",
         );
         ctx.program.push(Bundle::new().dma(DmaOp::Start {
@@ -180,28 +179,29 @@ impl Ctx<'_> {
     /// Steps producing all operands of a node, re-loading spilled ones
     /// from HBM.
     fn operand_steps(&mut self, node: &Node) -> Vec<StepId> {
-        let operands = node.op.operands();
         let mut deps = Vec::new();
-        for o in operands {
-            deps.extend(self.fetch_operand(o));
+        for o in node.op.operands() {
+            self.fetch_operand(o, &mut deps);
         }
         deps
     }
 
-    /// Dependencies for reading one operand's value in VMEM: its
-    /// producing steps, plus a reload DMA if it was spilled to HBM.
-    fn fetch_operand(&mut self, id: OpId) -> Vec<StepId> {
+    /// Appends the dependencies for reading one operand's value in VMEM
+    /// to `deps`: its producing steps, or a reload DMA if it was spilled
+    /// to HBM.
+    fn fetch_operand(&mut self, id: OpId, deps: &mut Vec<StepId>) {
+        let produced = &self.produced[id.index()];
         if !self.spilled[id.index()] {
-            return self.produced[id.index()].clone();
+            deps.extend_from_slice(produced);
+            return;
         }
         let bytes = self.graph.node(id).shape.bytes(self.dtype());
-        let deps = self.produced[id.index()].clone();
         let reload = self.plan.push_tagged(
             StepKind::DmaIn {
                 from: MemLevel::Hbm,
                 bytes,
             },
-            &deps,
+            produced,
             "spill-in",
         );
         self.program.push(Bundle::new().dma(DmaOp::Start {
@@ -209,7 +209,7 @@ impl Ctx<'_> {
             dir: DmaDirection::new(MemLevel::Hbm, MemLevel::Vmem),
             bytes: bytes.min(u32::MAX as u64) as u32,
         }));
-        vec![reload]
+        deps.push(reload);
     }
 
     /// Spills a freshly produced value to HBM if it exceeds the VMEM
@@ -228,13 +228,12 @@ impl Ctx<'_> {
             self.spilled[node.id.index()] = true;
             return;
         }
-        let deps = self.produced[node.id.index()].clone();
         let out = self.plan.push_tagged(
             StepKind::DmaOut {
                 to: MemLevel::Hbm,
                 bytes,
             },
-            &deps,
+            &self.produced[node.id.index()],
             "spill-out",
         );
         self.program.push(Bundle::new().dma(DmaOp::Start {
@@ -381,7 +380,8 @@ impl Ctx<'_> {
         act_input: OpId,
     ) {
         let dtype = self.dtype();
-        let act_deps: Vec<StepId> = self.fetch_operand(act_input);
+        let mut act_deps: Vec<StepId> = Vec::new();
+        self.fetch_operand(act_input, &mut act_deps);
 
         // Column tiling: bounded by the VMEM working set (memory plan)
         // and split across the MXU pool so independent output-column
@@ -426,32 +426,32 @@ impl Ctx<'_> {
                 }),
         );
 
+        let mut cdeps: Vec<StepId> = Vec::new();
         for c in 0..chunks {
             let this_cols = col_tile.min(cols - c * col_tile);
-            let mut cdeps: Vec<StepId> = Vec::new();
+            cdeps.clear();
             match weights {
                 WeightSource::Streamed(home) => {
                     let wbytes = inner * this_cols * dtype.size_bytes();
                     // Weight tile DMA. Without double buffering it waits
                     // for the previous chunk's compute.
-                    let mut wdeps: Vec<StepId> = Vec::new();
-                    if !self.options.double_buffer {
-                        if let Some(p) = prev_compute {
-                            wdeps.push(p);
-                        }
-                    }
+                    let wdeps = if self.options.double_buffer {
+                        None
+                    } else {
+                        prev_compute
+                    };
                     let wdma = self.plan.push_tagged(
                         StepKind::DmaIn {
                             from: home,
                             bytes: wbytes,
                         },
-                        &wdeps,
+                        wdeps.as_slice(),
                         "weights",
                     );
                     cdeps.push(wdma);
                 }
                 WeightSource::InVmem(op) => {
-                    cdeps.extend(self.fetch_operand(op));
+                    self.fetch_operand(op, &mut cdeps);
                 }
             }
             // Compute depends on its weights and the activations; chunks
@@ -561,7 +561,7 @@ mod tests {
         let g = simple_graph();
         let chip = catalog::tpu_v4i();
         let l = lower_with(&g, &chip, &CompilerOptions::default());
-        let tags: Vec<&str> = l.plan.steps().iter().map(|s| s.tag.as_str()).collect();
+        let tags: Vec<&str> = l.plan.steps().iter().map(|s| s.tag).collect();
         assert!(tags.contains(&"param"));
         assert!(tags.contains(&"weights"));
         assert!(tags.contains(&"dot"));

@@ -145,6 +145,13 @@ pub enum CompileError {
         /// Matrix flops of the live graph nodes.
         expected: u64,
     },
+    /// The options ask for a nonzero CMEM budget on a chip without CMEM.
+    NoCmem {
+        /// Name of the chip.
+        chip: String,
+        /// The requested budget, bytes.
+        budget: u64,
+    },
     /// The emitted VLIW program failed verification (a compiler bug if it
     /// ever happens; surfaced rather than panicking).
     Program(IsaVerifyError),
@@ -163,6 +170,12 @@ impl fmt::Display for CompileError {
                 write!(
                     f,
                     "plan bills {planned} MXU flops but the graph's live matrix ops need {expected}"
+                )
+            }
+            CompileError::NoCmem { chip, budget } => {
+                write!(
+                    f,
+                    "{chip} has no CMEM for the requested {budget}-byte budget"
                 )
             }
             CompileError::Program(e) => write!(f, "emitted program invalid: {e}"),
@@ -327,13 +340,22 @@ impl fmt::Display for Executable {
 /// # Errors
 ///
 /// Returns a [`CompileError`] for malformed or unverifiable graphs,
-/// pass-invariant violations, weights that exceed HBM, cost-model
-/// disagreements, or (never, absent bugs) invalid emitted programs.
+/// pass-invariant violations, weights that exceed HBM, a nonzero CMEM
+/// budget on a chip without CMEM, cost-model disagreements, or (never,
+/// absent bugs) invalid emitted programs.
 pub fn compile(
     graph: &Graph,
     chip: &ChipConfig,
     options: &CompilerOptions,
 ) -> Result<Executable, CompileError> {
+    if let (true, Some(budget @ 1..), None) =
+        (options.cmem, options.cmem_budget_override, chip.cmem)
+    {
+        return Err(CompileError::NoCmem {
+            chip: chip.name.clone(),
+            budget,
+        });
+    }
     graph.validate()?;
     let verifier = Verifier::new();
     verifier.verify_graph(graph)?;
@@ -521,6 +543,28 @@ mod tests {
     }
 
     #[test]
+    fn cmem_budget_needs_a_chip_with_cmem() {
+        let g = mlp(8);
+        for chip in catalog::inference_comparison_set() {
+            let budget = 8 << 20;
+            let result = compile(&g, &chip, &CompilerOptions::with_cmem_budget(budget));
+            if chip.cmem.is_some() {
+                assert!(result.is_ok(), "{}", chip.name);
+            } else {
+                assert_eq!(
+                    result.unwrap_err(),
+                    CompileError::NoCmem {
+                        chip: chip.name.clone(),
+                        budget
+                    }
+                );
+            }
+            // A zero budget asks for nothing and compiles everywhere.
+            compile(&g, &chip, &CompilerOptions::with_cmem_budget(0)).unwrap();
+        }
+    }
+
+    #[test]
     fn cmem_budget_sweep_is_monotone() {
         let g = mlp(4);
         let chip = catalog::tpu_v4i();
@@ -646,5 +690,13 @@ mod tests {
             available: 5,
         };
         assert!(format!("{e}").contains("HBM"));
+        let e = CompileError::NoCmem {
+            chip: "TPUv3".to_owned(),
+            budget: 4096,
+        };
+        assert_eq!(
+            format!("{e}"),
+            "TPUv3 has no CMEM for the requested 4096-byte budget"
+        );
     }
 }

@@ -95,6 +95,15 @@ impl Simulator {
 
     /// Executes a plan, producing a report.
     ///
+    /// Greedy list scheduling with a fixed order contract, on which the
+    /// bit-identity of every report and trace rests: the next step to
+    /// dispatch is the ready step with the lowest `(ready time, step id)`
+    /// (times compared by `total_cmp`; a step is ready when its last
+    /// dependency finishes, roots at 0); it runs on the earliest-free
+    /// unit of its pool, the lowest unit index on ties, and starts once
+    /// that unit and its memory channel (one serialized channel each for
+    /// HBM and CMEM) are free.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::NoCmem`] if the plan addresses CMEM on a chip
@@ -141,8 +150,8 @@ impl Simulator {
 
     /// Shared scheduling core. `want_trace` gates [`TraceEntry`]
     /// collection: an untraced [`Simulator::run`] (the sweep hot path)
-    /// skips the per-step entry push and its `tag` string clone, which
-    /// is pure overhead when the caller discards the trace.
+    /// skips the per-step entry push, which is pure overhead when the
+    /// caller discards the trace.
     fn run_core(&self, plan: &StepPlan, want_trace: bool) -> Result<(SimReport, Trace), SimError> {
         let chip = self.machine.chip();
         // Pre-validate.
@@ -180,22 +189,43 @@ impl Simulator {
             cmem_free: 0.0,
         };
 
+        // Dependents in CSR form: count each step's dependents, turn the
+        // counts into start offsets, then fill; each fill cursor ends one
+        // past its step's run, so `dependents_end` doubles as the end
+        // offsets (the plan's own layout, inverted).
         let n = plan.len();
-        let mut indegree = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for s in plan.steps() {
-            indegree[s.id.index()] = s.deps.len();
-            for d in &s.deps {
-                dependents[d.index()].push(s.id.index());
+        let steps = plan.steps();
+        let mut waiting = vec![0u32; n];
+        let mut dependents_end = vec![0u32; n];
+        for s in steps {
+            let deps = plan.deps(s.id);
+            waiting[s.id.index()] = deps.len() as u32;
+            for d in deps {
+                dependents_end[d.index()] += 1;
             }
         }
-        let mut finish = vec![0.0f64; n];
-        let mut ready: BinaryHeap<Reverse<(TimeKey, usize)>> = BinaryHeap::new();
-        for (i, s) in plan.steps().iter().enumerate() {
-            if s.deps.is_empty() {
-                ready.push(Reverse((TimeKey(0.0), i)));
+        let mut edges = 0u32;
+        for end in &mut dependents_end {
+            let count = *end;
+            *end = edges;
+            edges += count;
+        }
+        let mut dependents = vec![0u32; edges as usize];
+        for s in steps {
+            for d in plan.deps(s.id) {
+                let cursor = &mut dependents_end[d.index()];
+                dependents[*cursor as usize] = s.id.0;
+                *cursor += 1;
             }
         }
+
+        // Roots are ready at 0 and already in (0, id) order, so they are
+        // read off the plan by a cursor; only steps that become ready
+        // later go through the heap. Merging the two yields exactly one
+        // heap's pop order over all steps.
+        let mut ready_at = vec![0.0f64; n];
+        let mut later: BinaryHeap<Reverse<(TimeKey, u32)>> = BinaryHeap::new();
+        let mut next_root = 0usize;
 
         let mut report = SimReport::new(plan.name(), &chip.name);
         let mut trace = Trace::default();
@@ -205,8 +235,28 @@ impl Simulator {
         let mut makespan = 0.0f64;
         let mut done = 0usize;
 
-        while let Some(Reverse((TimeKey(ready_t), idx))) = ready.pop() {
-            let step = &plan.steps()[idx];
+        loop {
+            while next_root < n && !plan.deps(steps[next_root].id).is_empty() {
+                next_root += 1;
+            }
+            let root = (next_root < n).then_some((TimeKey(0.0), next_root as u32));
+            let (TimeKey(ready_t), id) = match (root, later.peek()) {
+                (Some(r), Some(&Reverse(h))) if h < r => {
+                    later.pop();
+                    h
+                }
+                (Some(r), _) => {
+                    next_root += 1;
+                    r
+                }
+                (None, Some(&Reverse(h))) => {
+                    later.pop();
+                    h
+                }
+                (None, None) => break,
+            };
+            let idx = id as usize;
+            let step = &steps[idx];
             let cost = self.machine.step_cost(&step.kind);
 
             // Which unit pool?
@@ -227,12 +277,12 @@ impl Simulator {
 
             let start = ready_t.max(unit_free).max(chan_free);
             let end = start + cost.unit_seconds;
-            pool.set(unit_idx, end);
+            pool.occupy_min(end);
             report.add_busy(resource, cost.unit_seconds);
             if want_trace {
                 trace.entries.push(TraceEntry {
                     step: step.id,
-                    tag: step.tag.clone(),
+                    tag: step.tag,
                     resource,
                     unit: unit_idx,
                     start,
@@ -262,22 +312,28 @@ impl Simulator {
                 }
             }
 
-            finish[idx] = end;
             makespan = makespan.max(end);
             done += 1;
-            for &dep in &dependents[idx] {
-                indegree[dep] -= 1;
-                if indegree[dep] == 0 {
-                    let t = plan.steps()[dep]
-                        .deps
-                        .iter()
-                        .map(|d| finish[d.index()])
-                        .fold(0.0f64, f64::max);
-                    ready.push(Reverse((TimeKey(t), dep)));
+            // A step is ready at the latest finish among its
+            // dependencies; the running max needs no second pass.
+            let first = idx.checked_sub(1).map_or(0, |p| dependents_end[p] as usize);
+            for &dep in &dependents[first..dependents_end[idx] as usize] {
+                let d = dep as usize;
+                ready_at[d] = ready_at[d].max(end);
+                waiting[d] -= 1;
+                if waiting[d] == 0 {
+                    later.push(Reverse((TimeKey(ready_at[d]), dep)));
                 }
             }
         }
-        debug_assert_eq!(done, n, "plan must be acyclic by construction");
+        // O(1), and kept in release builds: a scheduler bug must fail
+        // loudly rather than report a truncated run.
+        assert_eq!(
+            done,
+            n,
+            "scheduler dispatched {done} of {n} steps of plan `{}`",
+            plan.name()
+        );
 
         report.seconds = makespan;
         report.static_joules = self.machine.static_watts() * makespan;
@@ -305,35 +361,35 @@ impl Ord for TimeKey {
     }
 }
 
-/// A pool of identical units tracked by their next-free times.
-///
-/// Pools are at most a few dozen units, so a linear argmin scan beats a
-/// heap and lets us report *which* unit ran a step (for traces).
+/// A pool of identical units, kept as a min-heap on `(free time, unit)`
+/// so the earliest-free unit, lowest index on ties, is at the top.
 #[derive(Debug)]
 struct Pool {
-    free: Vec<f64>,
+    free: BinaryHeap<Reverse<(TimeKey, u32)>>,
 }
 
 impl Pool {
     fn new(n: usize) -> Pool {
         Pool {
-            free: vec![0.0; n.max(1)],
+            free: (0..n.max(1) as u32)
+                .map(|unit| Reverse((TimeKey(0.0), unit)))
+                .collect(),
         }
     }
 
     /// The earliest-free unit: `(index, free_time)`.
     fn min_free(&self) -> (usize, f64) {
-        let mut best = 0usize;
-        for (i, &t) in self.free.iter().enumerate() {
-            if t < self.free[best] {
-                best = i;
-            }
-        }
-        (best, self.free[best])
+        self.free
+            .peek()
+            .map_or((0, 0.0), |&Reverse((TimeKey(t), unit))| (unit as usize, t))
     }
 
-    fn set(&mut self, unit: usize, free_at: f64) {
-        self.free[unit] = free_at;
+    /// Marks the unit [`Pool::min_free`] returned busy until `free_at`.
+    fn occupy_min(&mut self, free_at: f64) {
+        if let Some(mut top) = self.free.peek_mut() {
+            let unit = top.0 .1;
+            *top = Reverse((TimeKey(free_at), unit));
+        }
     }
 }
 

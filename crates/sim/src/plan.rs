@@ -98,27 +98,33 @@ impl StepKind {
     }
 }
 
-/// One node of the plan DAG.
-#[derive(Debug, Clone, PartialEq)]
+/// One node of the plan DAG. Its dependencies live in the owning plan
+/// (see [`StepPlan::deps`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Step {
     /// This step's id.
     pub id: StepId,
     /// What it does.
     pub kind: StepKind,
-    /// Steps that must complete first (always earlier ids).
-    pub deps: Vec<StepId>,
     /// Optional human-readable tag (the HLO op it came from).
-    pub tag: String,
+    pub tag: &'static str,
 }
 
 /// A dependency-ordered plan of steps.
 ///
 /// Construction enforces acyclicity structurally: a step may only depend
 /// on already-pushed steps, so ids form a topological order.
+///
+/// Dependencies are stored flat (compressed sparse rows): every step's
+/// dependency ids are concatenated in id order into one array, and
+/// `deps_end[i]` marks one past the end of step `i`'s run. Building a
+/// plan therefore allocates nothing per step.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepPlan {
     name: String,
     steps: Vec<Step>,
+    deps: Vec<StepId>,
+    deps_end: Vec<u32>,
 }
 
 impl StepPlan {
@@ -126,7 +132,7 @@ impl StepPlan {
     pub fn new(name: &str) -> StepPlan {
         StepPlan {
             name: name.to_owned(),
-            steps: Vec::new(),
+            ..StepPlan::default()
         }
     }
 
@@ -150,23 +156,38 @@ impl StepPlan {
     /// # Panics
     ///
     /// Panics if any dependency id has not been pushed yet.
-    pub fn push_tagged(&mut self, kind: StepKind, deps: &[StepId], tag: &str) -> StepId {
+    pub fn push_tagged(&mut self, kind: StepKind, deps: &[StepId], tag: &'static str) -> StepId {
         let id = StepId(self.steps.len() as u32);
         for d in deps {
             assert!(d.0 < id.0, "dependency {d} of step {id} does not exist yet");
         }
-        self.steps.push(Step {
-            id,
-            kind,
-            deps: deps.to_vec(),
-            tag: tag.to_owned(),
-        });
+        self.deps.extend_from_slice(deps);
+        self.seal(Step { id, kind, tag });
         id
+    }
+
+    /// Appends `step`, closing its dependency run at the current end of
+    /// the shared array.
+    fn seal(&mut self, step: Step) {
+        let end = u32::try_from(self.deps.len()).expect("plan has more than 2^32 dependency edges");
+        self.deps_end.push(end);
+        self.steps.push(step);
     }
 
     /// The steps in id (topological) order.
     pub fn steps(&self) -> &[Step] {
         &self.steps
+    }
+
+    /// The steps `id` must wait for (all earlier ids), in push order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a step of this plan.
+    pub fn deps(&self, id: StepId) -> &[StepId] {
+        let i = id.index();
+        let start = i.checked_sub(1).map_or(0, |p| self.deps_end[p] as usize);
+        &self.deps[start..self.deps_end[i] as usize]
     }
 
     /// Number of steps.
@@ -206,16 +227,15 @@ impl StepPlan {
     pub fn append(&mut self, other: &StepPlan, barrier: Option<StepId>) -> u32 {
         let offset = self.steps.len() as u32;
         for s in &other.steps {
-            let mut deps: Vec<StepId> = s.deps.iter().map(|d| StepId(d.0 + offset)).collect();
-            if let (Some(b), true) = (barrier, s.deps.is_empty()) {
-                deps.push(b);
+            let deps = other.deps(s.id);
+            // Rebased ids stay below the new id, so acyclicity holds.
+            self.deps.extend(deps.iter().map(|d| StepId(d.0 + offset)));
+            if let (Some(b), true) = (barrier, deps.is_empty()) {
+                self.deps.push(b);
             }
-            // Direct push keeps invariant: all new deps < new id.
-            self.steps.push(Step {
+            self.seal(Step {
                 id: StepId(s.id.0 + offset),
-                kind: s.kind,
-                deps,
-                tag: s.tag.clone(),
+                ..*s
             });
         }
         offset
@@ -256,7 +276,7 @@ mod tests {
         let b = p.push(StepKind::Ici { bytes: 2 }, &[a]);
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
-        assert_eq!(p.steps()[1].deps, vec![a]);
+        assert_eq!(p.deps(b), &[a]);
     }
 
     #[test]
@@ -350,9 +370,63 @@ mod tests {
         assert_eq!(offset, 1);
         assert_eq!(a.len(), 3);
         // b's root now depends on the barrier...
-        assert_eq!(a.steps()[1].deps, vec![a0]);
+        assert_eq!(a.deps(StepId(1)), &[a0]);
         // ...and b's internal edge is rebased.
-        assert_eq!(a.steps()[2].deps, vec![StepId(1)]);
+        assert_eq!(a.deps(StepId(2)), &[StepId(1)]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn deps_of_a_missing_step_panics() {
+        StepPlan::new("empty").deps(StepId(0));
+    }
+
+    #[test]
+    fn deps_of_step_zero_is_empty() {
+        let mut p = StepPlan::new("t");
+        let a = p.push(StepKind::Ici { bytes: 1 }, &[]);
+        assert!(p.deps(a).is_empty());
+        let b = p.push(StepKind::Ici { bytes: 2 }, &[a]);
+        // A later push leaves step 0's run untouched.
+        assert!(p.deps(a).is_empty());
+        assert_eq!(p.deps(b), &[a]);
+    }
+
+    #[test]
+    fn deps_keep_push_order_and_duplicates() {
+        let mut p = StepPlan::new("t");
+        let a = p.push(StepKind::Ici { bytes: 1 }, &[]);
+        let b = p.push(StepKind::Ici { bytes: 2 }, &[]);
+        let c = p.push(StepKind::Ici { bytes: 3 }, &[b, a, b]);
+        let d = p.push(StepKind::Ici { bytes: 4 }, &[]);
+        assert_eq!(p.deps(c), &[b, a, b]);
+        assert!(p.deps(d).is_empty());
+    }
+
+    #[test]
+    fn append_without_barrier_keeps_roots_free() {
+        let mut a = StepPlan::new("a");
+        a.push(StepKind::Ici { bytes: 1 }, &[]);
+        let mut b = StepPlan::new("b");
+        let b0 = b.push(StepKind::Ici { bytes: 2 }, &[]);
+        let b1 = b.push(StepKind::Ici { bytes: 3 }, &[b0]);
+        b.push(StepKind::Ici { bytes: 4 }, &[b0, b1]);
+        assert_eq!(a.append(&b, None), 1);
+        assert_eq!(a.len(), 4);
+        assert!(a.deps(StepId(1)).is_empty());
+        assert_eq!(a.deps(StepId(2)), &[StepId(1)]);
+        assert_eq!(a.deps(StepId(3)), &[StepId(1), StepId(2)]);
+        assert_eq!(a.steps()[3].id, StepId(3));
+    }
+
+    #[test]
+    fn append_onto_an_empty_plan_copies_it() {
+        let mut b = StepPlan::new("b");
+        let b0 = b.push_tagged(StepKind::Ici { bytes: 2 }, &[], "x");
+        b.push_tagged(StepKind::Ici { bytes: 3 }, &[b0], "y");
+        let mut a = StepPlan::new("b");
+        assert_eq!(a.append(&b, None), 0);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -115,6 +115,11 @@ impl SimReport {
         self.energy_by[Self::idx(r)] += joules;
     }
 
+    /// Busy time of one resource class summed over its pool, seconds.
+    pub fn busy_seconds(&self, r: Resource) -> f64 {
+        self.busy[Self::idx(r)]
+    }
+
     /// Dynamic energy attributed to one resource class, joules.
     ///
     /// DMA entries carry the memory-transfer energy of the channel they
