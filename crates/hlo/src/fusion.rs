@@ -6,62 +6,84 @@
 //! lowering pass then emits the fused VPU work in the producer's step
 //! chain with no intermediate DMA.
 
-use std::collections::HashMap;
-
 use crate::graph::{Graph, HloOp, OpId};
 
 /// The result of the fusion pass.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// Dense: slot `i` holds the root node `i` was fused into, if any.
+/// Equality compares the `(fused node, root)` entries, so it does not
+/// depend on how the map was built.
+#[derive(Debug, Clone, Default)]
 pub struct FusionMap {
-    /// Maps a fused node to the matrix op it was folded into.
-    fused_into: HashMap<OpId, OpId>,
+    /// Maps a fused node (by index) to the matrix op it was folded into.
+    root: Vec<Option<OpId>>,
+    /// Number of `Some` slots.
+    fused: usize,
 }
 
 impl FusionMap {
     /// Assembles a map directly from `(fused node, root)` entries, with
-    /// no checking.
+    /// no checking (a later entry for the same node wins).
     ///
     /// Exists so verifier mutation tests can fabricate ill-formed
     /// clusters; anything built this way must pass
     /// [`Verifier::verify_fusion`](crate::verify::Verifier::verify_fusion).
     pub fn from_entries(entries: &[(OpId, OpId)]) -> FusionMap {
-        FusionMap {
-            fused_into: entries.iter().copied().collect(),
+        let mut map = FusionMap::default();
+        for &(node, root) in entries {
+            map.insert(node, root);
+        }
+        map
+    }
+
+    fn insert(&mut self, node: OpId, root: OpId) {
+        if node.index() >= self.root.len() {
+            self.root.resize(node.index() + 1, None);
+        }
+        if self.root[node.index()].replace(root).is_none() {
+            self.fused += 1;
         }
     }
 
     /// The root producer a node was fused into, if any.
     pub fn root_of(&self, id: OpId) -> Option<OpId> {
-        self.fused_into.get(&id).copied()
+        self.root.get(id.index()).copied().flatten()
     }
 
-    /// Iterates `(fused node, root)` entries in unspecified order.
+    /// Iterates `(fused node, root)` entries in fused-node id order.
     pub fn entries(&self) -> impl Iterator<Item = (OpId, OpId)> + '_ {
-        self.fused_into.iter().map(|(k, v)| (*k, *v))
+        self.root
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.map(|root| (OpId::from_raw(i as u32), root)))
     }
 
     /// Whether a node was fused away (emits no standalone steps).
     pub fn is_fused(&self, id: OpId) -> bool {
-        self.fused_into.contains_key(&id)
+        self.root_of(id).is_some()
     }
 
     /// Number of fused nodes.
     pub fn fused_count(&self) -> usize {
-        self.fused_into.len()
+        self.fused
     }
 
     /// Nodes fused into `root`, in id order.
     pub fn cluster_of(&self, root: OpId) -> Vec<OpId> {
-        let mut v: Vec<OpId> = self
-            .fused_into
-            .iter()
-            .filter(|(_, r)| **r == root)
-            .map(|(k, _)| *k)
-            .collect();
-        v.sort_unstable();
-        v
+        self.entries()
+            .filter(|&(_, r)| r == root)
+            .map(|(node, _)| node)
+            .collect()
     }
 }
+
+impl PartialEq for FusionMap {
+    fn eq(&self, other: &FusionMap) -> bool {
+        self.fused == other.fused && self.entries().eq(other.entries())
+    }
+}
+
+impl Eq for FusionMap {}
 
 /// Runs the fusion pass.
 ///
@@ -75,8 +97,18 @@ impl FusionMap {
 /// Graph outputs can be fused: the fused chain's result is what gets
 /// written out.
 pub fn fuse(graph: &Graph) -> FusionMap {
-    let consumers = graph.consumers();
-    let mut map = FusionMap::default();
+    // Uses per node, one per operand slot (so `add(x, x)` uses `x`
+    // twice), as `Graph::consumers` would count them.
+    let mut uses = vec![0u32; graph.nodes().len()];
+    for node in graph.nodes() {
+        for operand in node.op.operands() {
+            uses[operand.index()] += 1;
+        }
+    }
+    let mut map = FusionMap {
+        root: vec![None; graph.nodes().len()],
+        fused: 0,
+    };
     for node in graph.nodes() {
         if !node.op.is_fusible_consumer() {
             continue;
@@ -96,14 +128,14 @@ pub fn fuse(graph: &Graph) -> FusionMap {
         };
         let Some(root) = root else { continue };
         // No fan-out from the main operand.
-        if consumers[main.index()].len() != 1 {
+        if uses[main.index()] != 1 {
             continue;
         }
         // Secondary operands (e.g. the residual in a binary add) must be
         // cheap to stream: parameters, constants or other finished nodes
         // are fine in this model — we only require they are not *this*
         // cluster (which would be a cycle).
-        map.fused_into.insert(node.id, root);
+        map.insert(node.id, root);
     }
     map
 }
@@ -186,6 +218,34 @@ mod tests {
         g.mark_output(r);
         let f = fuse(&g);
         assert_eq!(f.root_of(r), Some(c));
+    }
+
+    #[test]
+    fn entries_come_out_in_id_order() {
+        let f = FusionMap::from_entries(&[
+            (OpId::from_raw(9), OpId::from_raw(2)),
+            (OpId::from_raw(4), OpId::from_raw(2)),
+            (OpId::from_raw(6), OpId::from_raw(5)),
+        ]);
+        let ids: Vec<u32> = f.entries().map(|(n, _)| n.index() as u32).collect();
+        assert_eq!(ids, vec![4, 6, 9]);
+        assert_eq!(f.fused_count(), 3);
+        assert_eq!(f.cluster_of(OpId::from_raw(2)).len(), 2);
+        assert_eq!(f.root_of(OpId::from_raw(100)), None);
+    }
+
+    #[test]
+    fn equality_is_independent_of_insertion_order() {
+        let (a, b, r) = (OpId::from_raw(3), OpId::from_raw(8), OpId::from_raw(1));
+        let forward = FusionMap::from_entries(&[(a, r), (b, r)]);
+        let backward = FusionMap::from_entries(&[(b, r), (a, r)]);
+        assert_eq!(forward, backward);
+        // A map built by `fuse` is sized to its graph; one built from
+        // entries only to its largest id. Equal entries, equal maps.
+        let (g, d, rl, s) = dot_chain();
+        assert_eq!(fuse(&g), FusionMap::from_entries(&[(s, d), (rl, d)]));
+        assert_ne!(fuse(&g), FusionMap::from_entries(&[(s, d)]));
+        assert_eq!(FusionMap::default(), fuse(&Graph::new("e", DType::Bf16)));
     }
 
     #[test]

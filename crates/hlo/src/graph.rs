@@ -147,21 +147,70 @@ pub enum HloOp {
     },
 }
 
+/// The operand ids of one op, in operand order, stored inline (no op
+/// has more than two operands).
+///
+/// Derefs to `&[OpId]` and iterates by value, so it reads like the
+/// slice or `Vec` it replaces without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Operands {
+    ids: [OpId; 2],
+    len: u8,
+}
+
+impl Operands {
+    const NONE: Operands = Operands {
+        ids: [OpId(0); 2],
+        len: 0,
+    };
+
+    fn one(a: OpId) -> Operands {
+        Operands {
+            ids: [a, OpId(0)],
+            len: 1,
+        }
+    }
+
+    fn two(a: OpId, b: OpId) -> Operands {
+        Operands {
+            ids: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for Operands {
+    type Target = [OpId];
+
+    fn deref(&self) -> &[OpId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Operands {
+    type Item = OpId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<OpId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(self.len as usize)
+    }
+}
+
 impl HloOp {
-    /// Operand ids of this op.
-    pub fn operands(&self) -> Vec<OpId> {
+    /// Operand ids of this op, in operand order.
+    pub fn operands(&self) -> Operands {
         match *self {
-            HloOp::Parameter | HloOp::Constant => Vec::new(),
-            HloOp::Dot { lhs, rhs } => vec![lhs, rhs],
-            HloOp::Conv2d { input, kernel, .. } => vec![input, kernel],
+            HloOp::Parameter | HloOp::Constant => Operands::NONE,
+            HloOp::Dot { lhs, rhs } => Operands::two(lhs, rhs),
+            HloOp::Conv2d { input, kernel, .. } => Operands::two(input, kernel),
             HloOp::Activate { input, .. }
             | HloOp::Softmax { input }
             | HloOp::LayerNorm { input }
             | HloOp::MaxPool2d { input, .. }
             | HloOp::Reshape { input }
-            | HloOp::GateReduce { input, .. } => vec![input],
-            HloOp::Binary { a, b, .. } | HloOp::BatchMatmul { a, b, .. } => vec![a, b],
-            HloOp::Embedding { table, .. } => vec![table],
+            | HloOp::GateReduce { input, .. } => Operands::one(input),
+            HloOp::Binary { a, b, .. } | HloOp::BatchMatmul { a, b, .. } => Operands::two(a, b),
+            HloOp::Embedding { table, .. } => Operands::one(table),
         }
     }
 
@@ -358,8 +407,8 @@ impl Graph {
     }
 
     fn dot_shape(&self, lhs: OpId, rhs: OpId) -> Result<TensorShape, ShapeError> {
-        let ls = self.operand(lhs, "dot lhs")?.shape.clone();
-        let rs = self.operand(rhs, "dot rhs")?.shape.clone();
+        let ls = self.operand(lhs, "dot lhs")?.shape;
+        let rs = self.operand(rhs, "dot rhs")?.shape;
         if rs.rank() != 2 {
             return Err(ShapeError::BadRank {
                 context: "dot rhs",
@@ -374,9 +423,7 @@ impl Graph {
                 rhs: rs,
             });
         }
-        let mut dims = ls.dims().to_vec();
-        *dims.last_mut().expect("non-scalar") = rs.trailing();
-        TensorShape::new(&dims)
+        ls.with_trailing(rs.trailing())
     }
 
     /// Adds an NHWC conv with "same" padding.
@@ -403,8 +450,8 @@ impl Graph {
         kernel: OpId,
         stride: u64,
     ) -> Result<TensorShape, ShapeError> {
-        let is = self.operand(input, "conv2d input")?.shape.clone();
-        let ks = self.operand(kernel, "conv2d kernel")?.shape.clone();
+        let is = self.operand(input, "conv2d input")?.shape;
+        let ks = self.operand(kernel, "conv2d kernel")?.shape;
         if is.rank() != 4 {
             return Err(ShapeError::BadRank {
                 context: "conv2d input",
@@ -443,7 +490,7 @@ impl Graph {
     }
 
     fn unary_shape(&self, input: OpId, context: &'static str) -> Result<TensorShape, ShapeError> {
-        Ok(self.operand(input, context)?.shape.clone())
+        Ok(self.operand(input, context)?.shape)
     }
 
     /// Shorthand for ReLU.
@@ -467,8 +514,8 @@ impl Graph {
     }
 
     fn binary_shape(&self, a: OpId, b: OpId) -> Result<TensorShape, ShapeError> {
-        let sa = self.operand(a, "binary lhs")?.shape.clone();
-        let sb = self.operand(b, "binary rhs")?.shape.clone();
+        let sa = self.operand(a, "binary lhs")?.shape;
+        let sb = self.operand(b, "binary rhs")?.shape;
         if sa != sb {
             return Err(ShapeError::Mismatch {
                 context: "binary operands",
@@ -525,7 +572,7 @@ impl Graph {
         batch: u64,
         seq: u64,
     ) -> Result<TensorShape, ShapeError> {
-        let ts = self.operand(table, "embedding table")?.shape.clone();
+        let ts = self.operand(table, "embedding table")?.shape;
         if ts.rank() != 2 {
             return Err(ShapeError::BadRank {
                 context: "embedding table",
@@ -548,7 +595,7 @@ impl Graph {
     }
 
     fn max_pool2d_shape(&self, input: OpId, window: u64) -> Result<TensorShape, ShapeError> {
-        let is = self.operand(input, "maxpool input")?.shape.clone();
+        let is = self.operand(input, "maxpool input")?.shape;
         if is.rank() != 4 {
             return Err(ShapeError::BadRank {
                 context: "maxpool input",
@@ -574,7 +621,7 @@ impl Graph {
     }
 
     fn gate_reduce_shape(&self, input: OpId, factor: u64) -> Result<TensorShape, ShapeError> {
-        let is = self.operand(input, "gate_reduce input")?.shape.clone();
+        let is = self.operand(input, "gate_reduce input")?.shape;
         let factor = factor.max(1);
         if !is.trailing().is_multiple_of(factor) {
             return Err(ShapeError::Mismatch {
@@ -583,9 +630,7 @@ impl Graph {
                 rhs: TensorShape::new(&[factor])?,
             });
         }
-        let mut dims = is.dims().to_vec();
-        *dims.last_mut().expect("non-scalar") /= factor;
-        TensorShape::new(&dims)
+        is.with_trailing(is.trailing() / factor)
     }
 
     /// Adds a batched activation-by-activation matmul (`[batch, m, k] @
@@ -628,8 +673,8 @@ impl Graph {
         k: u64,
         n: u64,
     ) -> Result<TensorShape, ShapeError> {
-        let sa = self.operand(a, "batch_matmul lhs")?.shape.clone();
-        let sb = self.operand(b, "batch_matmul rhs")?.shape.clone();
+        let sa = self.operand(a, "batch_matmul lhs")?.shape;
+        let sb = self.operand(b, "batch_matmul rhs")?.shape;
         if sa.elements() != batch * m * k {
             return Err(ShapeError::Mismatch {
                 context: "batch_matmul lhs elements",
@@ -680,7 +725,7 @@ impl Graph {
     /// operands no longer satisfy the op's shape constraints.
     pub fn reinfer(&self, node: &Node) -> Result<TensorShape, ShapeError> {
         match node.op {
-            HloOp::Parameter | HloOp::Constant => Ok(node.shape.clone()),
+            HloOp::Parameter | HloOp::Constant => Ok(node.shape),
             HloOp::Dot { lhs, rhs } => self.dot_shape(lhs, rhs),
             HloOp::Conv2d {
                 input,
@@ -708,7 +753,7 @@ impl Graph {
                 if to != from {
                     return Err(ShapeError::ElementCountChanged { from, to });
                 }
-                Ok(node.shape.clone())
+                Ok(node.shape)
             }
         }
     }
@@ -1054,6 +1099,100 @@ mod tests {
         let (name, dtype, nodes, outputs) = g.into_parts();
         let back = Graph::from_parts(&name, dtype, nodes, outputs);
         assert_eq!(back, copy);
+    }
+
+    #[test]
+    fn operands_have_each_variants_arity_and_order() {
+        let (a, b) = (OpId(3), OpId(7));
+        let cases: [(HloOp, &[OpId]); 13] = [
+            (HloOp::Parameter, &[]),
+            (HloOp::Constant, &[]),
+            (HloOp::Dot { lhs: a, rhs: b }, &[a, b]),
+            (
+                HloOp::Conv2d {
+                    input: a,
+                    kernel: b,
+                    stride: 2,
+                },
+                &[a, b],
+            ),
+            (
+                HloOp::Activate {
+                    input: a,
+                    act: Activation::Relu,
+                },
+                &[a],
+            ),
+            (
+                HloOp::Binary {
+                    a: b,
+                    b: a,
+                    kind: BinaryKind::Add,
+                },
+                &[b, a],
+            ),
+            (HloOp::Softmax { input: a }, &[a]),
+            (HloOp::LayerNorm { input: a }, &[a]),
+            (
+                HloOp::Embedding {
+                    table: a,
+                    batch: 2,
+                    seq: 3,
+                },
+                &[a],
+            ),
+            (
+                HloOp::MaxPool2d {
+                    input: a,
+                    window: 2,
+                },
+                &[a],
+            ),
+            (HloOp::Reshape { input: a }, &[a]),
+            (
+                HloOp::GateReduce {
+                    input: a,
+                    factor: 4,
+                },
+                &[a],
+            ),
+            (
+                HloOp::BatchMatmul {
+                    a,
+                    b,
+                    batch: 1,
+                    m: 1,
+                    k: 1,
+                    n: 1,
+                },
+                &[a, b],
+            ),
+        ];
+        for (op, expected) in cases {
+            let ops = op.operands();
+            assert_eq!(&*ops, expected, "{}", op.mnemonic());
+            assert_eq!(ops.len(), expected.len());
+            let by_value: Vec<OpId> = ops.into_iter().collect();
+            assert_eq!(by_value, expected, "{}", op.mnemonic());
+        }
+    }
+
+    #[test]
+    fn builders_reject_shapes_past_max_rank() {
+        let max = vec![2; TensorShape::MAX_RANK];
+        let over = vec![2; TensorShape::MAX_RANK + 1];
+        let too_large = ShapeError::RankTooLarge {
+            rank: TensorShape::MAX_RANK + 1,
+            max: TensorShape::MAX_RANK,
+        };
+        let mut g = Graph::new("t", DType::Bf16);
+        let x = g.parameter(&max).unwrap();
+        g.constant(&max).unwrap();
+        g.reshape(x, &[4, 4]).unwrap();
+        assert_eq!(g.parameter(&over), Err(too_large.clone()));
+        assert_eq!(g.constant(&over), Err(too_large.clone()));
+        assert_eq!(g.reshape(x, &over), Err(too_large));
+        assert_eq!(g.nodes().len(), 3);
     }
 
     #[test]

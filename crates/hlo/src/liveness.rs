@@ -8,8 +8,6 @@
 //! peak-residency number is the compiler's answer to "what batch size
 //! can this model run at without spilling?".
 
-use std::collections::HashSet;
-
 use tpu_numerics::DType;
 
 use crate::graph::{Graph, HloOp, OpId};
@@ -58,11 +56,8 @@ pub fn analyze(graph: &Graph) -> Liveness {
             last_use[operand.index()] = last_use[operand.index()].max(node.id.index());
         }
     }
-    let outputs: HashSet<usize> = graph.outputs().iter().map(|o| o.index()).collect();
-    for (i, lu) in last_use.iter_mut().enumerate() {
-        if outputs.contains(&i) {
-            *lu = usize::MAX;
-        }
+    for &output in graph.outputs() {
+        last_use[output.index()] = usize::MAX;
     }
 
     // Sweep definitions in order, tracking the live set.

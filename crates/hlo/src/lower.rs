@@ -36,9 +36,6 @@ pub struct Lowered {
     pub accum_emulated: bool,
 }
 
-/// Per-node bookkeeping: the steps that produce a node's value in VMEM.
-type ProducedBy = Vec<Vec<StepId>>;
-
 /// Where a matmul's right-hand operand comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WeightSource {
@@ -56,20 +53,34 @@ pub fn lower(
     memory: &MemoryPlan,
     options: &CompilerOptions,
 ) -> Lowered {
+    let n = graph.nodes().len();
+    // A fused node's value is its cluster's: it reads `produced` and
+    // `spilled` through its root. Reshapes alias their input the same
+    // way, once lowered.
+    let mut source: Vec<OpId> = graph.nodes().iter().map(|node| node.id).collect();
+    let mut cluster_ops: Vec<Option<u64>> = vec![None; n];
+    for (member, root) in fusion.entries() {
+        source[member.index()] = root;
+        *cluster_ops[root.index()].get_or_insert(0) += graph.node_flops(graph.node(member));
+    }
     let mut ctx = Ctx {
         graph,
         chip,
-        fusion,
         memory,
         options,
         plan: StepPlan::new(graph.name()),
         program: Program::new(chip.generation),
-        produced: vec![Vec::new(); graph.nodes().len()],
-        spilled: vec![false; graph.nodes().len()],
+        source,
+        cluster_ops,
+        produced: vec![(0, 0); n],
+        produced_steps: Vec::new(),
+        spilled: vec![false; n],
         spill_threshold: (chip.vmem.capacity_bytes as f64 * SPILL_VMEM_FRACTION) as u64,
         liveness: liveness::analyze(graph),
         next_mxu: 0,
         accum_emulate: needs_accum_emulation(chip, options.bit_exact_with),
+        deps: Vec::new(),
+        act_deps: Vec::new(),
     };
 
     // Dead-code elimination: only nodes reachable from the outputs emit
@@ -85,21 +96,27 @@ pub fn lower(
         ctx.lower_node(node);
     }
 
-    // Graph outputs (or their fusion tails) stream back to HBM. A
-    // spilled output is already in HBM — no second write.
-    for &out in graph.outputs() {
-        let node = graph.node(out);
-        let root = fusion.root_of(out).unwrap_or(out);
-        if ctx.spilled[root.index()] {
+    // Graph outputs (or their fusion tails) stream back to HBM, once per
+    // distinct output node: simplification can resolve two outputs to
+    // the same node, which is one tensor in VMEM. A spilled output is
+    // already in HBM — no second write.
+    let outputs = graph.outputs();
+    for (i, &out) in outputs.iter().enumerate() {
+        if outputs[..i].contains(&out) {
             continue;
         }
-        let bytes = node.shape.bytes(graph.dtype());
+        let src = ctx.source[out.index()];
+        if ctx.spilled[src.index()] {
+            continue;
+        }
+        let bytes = graph.node(out).shape.bytes(graph.dtype());
+        let (start, end) = ctx.produced[src.index()];
         ctx.plan.push_tagged(
             StepKind::DmaOut {
                 to: MemLevel::Hbm,
                 bytes,
             },
-            &ctx.produced[root.index()],
+            &ctx.produced_steps[start as usize..end as usize],
             "output",
         );
         ctx.program.push(Bundle::new().dma(DmaOp::Start {
@@ -156,12 +173,19 @@ pub fn needs_accum_emulation(chip: &ChipConfig, compat: Option<Generation>) -> b
 struct Ctx<'a> {
     graph: &'a Graph,
     chip: &'a ChipConfig,
-    fusion: &'a FusionMap,
     memory: &'a MemoryPlan,
     options: &'a CompilerOptions,
     plan: StepPlan,
     program: Program,
-    produced: ProducedBy,
+    /// The node whose `produced`/`spilled` entries hold a node's value:
+    /// itself, its fusion root, or (for a reshape) its input's source.
+    source: Vec<OpId>,
+    /// Summed flops of the nodes fused into each root, if any are.
+    cluster_ops: Vec<Option<u64>>,
+    /// The steps that produce a source node's value in VMEM, as a
+    /// `start..end` range of `produced_steps`.
+    produced: Vec<(u32, u32)>,
+    produced_steps: Vec<StepId>,
     /// Whether a node's value was written back to HBM because it exceeds
     /// the VMEM spill threshold; consumers re-load it.
     spilled: Vec<bool>,
@@ -169,6 +193,9 @@ struct Ctx<'a> {
     liveness: Liveness,
     next_mxu: u8,
     accum_emulate: bool,
+    /// Scratch dependency buffers, reused across nodes.
+    deps: Vec<StepId>,
+    act_deps: Vec<StepId>,
 }
 
 impl Ctx<'_> {
@@ -176,22 +203,27 @@ impl Ctx<'_> {
         self.graph.dtype()
     }
 
-    /// Steps producing all operands of a node, re-loading spilled ones
-    /// from HBM.
-    fn operand_steps(&mut self, node: &Node) -> Vec<StepId> {
-        let mut deps = Vec::new();
-        for o in node.op.operands() {
-            self.fetch_operand(o, &mut deps);
-        }
-        deps
+    /// Records `steps` as the producers of `id`'s value.
+    fn set_produced(&mut self, id: OpId, steps: &[StepId]) {
+        let start = self.produced_steps.len() as u32;
+        self.produced_steps.extend_from_slice(steps);
+        self.produced[id.index()] = (start, self.produced_steps.len() as u32);
+    }
+
+    /// The steps producing a source node's value.
+    fn produced(&self, src: OpId) -> &[StepId] {
+        let (start, end) = self.produced[src.index()];
+        &self.produced_steps[start as usize..end as usize]
     }
 
     /// Appends the dependencies for reading one operand's value in VMEM
     /// to `deps`: its producing steps, or a reload DMA if it was spilled
-    /// to HBM.
+    /// to HBM. The reload is sized by the operand's own shape.
     fn fetch_operand(&mut self, id: OpId, deps: &mut Vec<StepId>) {
-        let produced = &self.produced[id.index()];
-        if !self.spilled[id.index()] {
+        let src = self.source[id.index()];
+        let (start, end) = self.produced[src.index()];
+        let produced = &self.produced_steps[start as usize..end as usize];
+        if !self.spilled[src.index()] {
             deps.extend_from_slice(produced);
             return;
         }
@@ -228,12 +260,13 @@ impl Ctx<'_> {
             self.spilled[node.id.index()] = true;
             return;
         }
+        let (start, end) = self.produced[node.id.index()];
         let out = self.plan.push_tagged(
             StepKind::DmaOut {
                 to: MemLevel::Hbm,
                 bytes,
             },
-            &self.produced[node.id.index()],
+            &self.produced_steps[start as usize..end as usize],
             "spill-out",
         );
         self.program.push(Bundle::new().dma(DmaOp::Start {
@@ -241,7 +274,7 @@ impl Ctx<'_> {
             dir: DmaDirection::new(MemLevel::Vmem, MemLevel::Hbm),
             bytes: bytes.min(u32::MAX as u64) as u32,
         }));
-        self.produced[node.id.index()] = vec![out];
+        self.set_produced(node.id, &[out]);
         self.spilled[node.id.index()] = true;
     }
 
@@ -271,7 +304,7 @@ impl Ctx<'_> {
                     dir: DmaDirection::new(MemLevel::Hbm, MemLevel::Vmem),
                     bytes: bytes.min(u32::MAX as u64) as u32,
                 }));
-                self.produced[node.id.index()] = vec![s];
+                self.set_produced(node.id, &[s]);
                 self.maybe_spill(node);
             }
             HloOp::Constant => {
@@ -317,12 +350,11 @@ impl Ctx<'_> {
                     dir: DmaDirection::new(home, MemLevel::Vmem),
                     bytes: bytes.min(u32::MAX as u64) as u32,
                 }));
-                self.produced[node.id.index()] = vec![s];
+                self.set_produced(node.id, &[s]);
                 self.maybe_spill(node);
             }
             HloOp::Reshape { input } => {
-                self.produced[node.id.index()] = self.produced[input.index()].clone();
-                self.spilled[node.id.index()] = self.spilled[input.index()];
+                self.source[node.id.index()] = self.source[input.index()];
             }
             HloOp::Activate { .. }
             | HloOp::Binary { .. }
@@ -331,7 +363,11 @@ impl Ctx<'_> {
             | HloOp::GateReduce { .. }
             | HloOp::MaxPool2d { .. } => {
                 // Standalone VPU work (fused instances are skipped upstream).
-                let deps = self.operand_steps(node);
+                let mut deps = std::mem::take(&mut self.deps);
+                deps.clear();
+                for o in node.op.operands() {
+                    self.fetch_operand(o, &mut deps);
+                }
                 let ops = self.graph.node_flops(node).max(1);
                 let s = self.plan.push_tagged(
                     StepKind::Vpu {
@@ -341,11 +377,12 @@ impl Ctx<'_> {
                     &deps,
                     node.op.mnemonic(),
                 );
+                self.deps = deps;
                 self.program.push(Bundle::new().vector(VectorOp::VXf {
                     dst: VReg(1),
                     a: VReg(0),
                 }));
-                self.produced[node.id.index()] = vec![s];
+                self.set_produced(node.id, &[s]);
                 self.maybe_spill(node);
             }
         }
@@ -361,7 +398,7 @@ impl Ctx<'_> {
             } else {
                 WeightSource::Streamed(MemLevel::Hbm)
             }
-        } else if self.produced[id.index()].is_empty() {
+        } else if self.produced(self.source[id.index()]).is_empty() {
             // A parameter used directly as weights: stream from HBM.
             WeightSource::Streamed(MemLevel::Hbm)
         } else {
@@ -380,7 +417,8 @@ impl Ctx<'_> {
         act_input: OpId,
     ) {
         let dtype = self.dtype();
-        let mut act_deps: Vec<StepId> = Vec::new();
+        let mut act_deps = std::mem::take(&mut self.act_deps);
+        act_deps.clear();
         self.fetch_operand(act_input, &mut act_deps);
 
         // Column tiling: bounded by the VMEM working set (memory plan)
@@ -395,7 +433,6 @@ impl Ctx<'_> {
         let chunks = cols.div_ceil(col_tile).max(1);
 
         let mxu = self.pick_mxu();
-        let mut chunk_steps: Vec<StepId> = Vec::with_capacity(chunks as usize);
         let mut prev_compute: Option<StepId> = None;
 
         // Emit the ISA tile loop once, with a loop marker for repetition.
@@ -426,7 +463,10 @@ impl Ctx<'_> {
                 }),
         );
 
-        let mut cdeps: Vec<StepId> = Vec::new();
+        // Each chunk's output step is appended to `produced_steps` as it
+        // is emitted; together they are this node's value.
+        let mut cdeps = std::mem::take(&mut self.deps);
+        let start = self.produced_steps.len();
         for c in 0..chunks {
             let this_cols = col_tile.min(cols - c * col_tile);
             cdeps.clear();
@@ -456,7 +496,7 @@ impl Ctx<'_> {
             }
             // Compute depends on its weights and the activations; chunks
             // of one op are independent and spread over the MXU pool.
-            cdeps.extend(act_deps.iter().copied());
+            cdeps.extend_from_slice(&act_deps);
             let compute = self.plan.push_tagged(
                 StepKind::Mxu {
                     rows,
@@ -485,45 +525,34 @@ impl Ctx<'_> {
             } else {
                 compute
             };
-            chunk_steps.push(chunk_out);
+            self.produced_steps.push(chunk_out);
         }
+        self.deps = cdeps;
+        self.act_deps = act_deps;
 
-        // Fused elementwise tail, if any.
-        let cluster = self.fusion.cluster_of(node.id);
-        let mut tail_steps = chunk_steps.clone();
-        if !cluster.is_empty() {
-            let fused_ops: u64 = cluster
-                .iter()
-                .map(|&id| self.graph.node_flops(self.graph.node(id)))
-                .sum();
+        // Fused elementwise tail, if any: it replaces the chunk outputs
+        // as the node's (and its cluster's) value.
+        if let Some(fused_ops) = self.cluster_ops[node.id.index()] {
             let vpu = self.plan.push_tagged(
                 StepKind::Vpu {
                     elements: fused_ops.max(1),
                     ops_per_element: 1,
                 },
-                &tail_steps,
+                &self.produced_steps[start..],
                 "fused",
             );
             self.program.push(Bundle::new().vector(VectorOp::VXf {
                 dst: VReg(2),
                 a: VReg(1),
             }));
-            tail_steps = vec![vpu];
+            self.produced_steps.truncate(start);
+            self.produced_steps.push(vpu);
         }
-
-        self.produced[node.id.index()] = tail_steps.clone();
-        for &id in &cluster {
-            self.produced[id.index()] = tail_steps.clone();
-        }
+        self.produced[node.id.index()] = (start as u32, self.produced_steps.len() as u32);
         // The materialized value is the cluster tail's (same shape class
-        // as the root); spill if it exceeds the threshold.
+        // as the root); spill if it exceeds the threshold. Fused members
+        // see the spill through their root.
         self.maybe_spill(node);
-        if self.spilled[node.id.index()] {
-            for &id in &cluster {
-                self.produced[id.index()] = self.produced[node.id.index()].clone();
-                self.spilled[id.index()] = true;
-            }
-        }
     }
 }
 

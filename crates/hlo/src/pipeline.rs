@@ -671,6 +671,42 @@ mod tests {
     }
 
     #[test]
+    fn outputs_resolved_to_one_node_are_written_once() {
+        // `[relu(relu(dot)), relu(dot)]`: simplify resolves both outputs
+        // to the inner relu, one 8 KiB tensor in VMEM.
+        let mut g = Graph::new("twin-out", DType::Bf16);
+        let x = g.parameter(&[8, 256]).unwrap();
+        let w = g.constant(&[256, 512]).unwrap();
+        let d = g.dot(x, w).unwrap();
+        let r1 = g.relu(d).unwrap();
+        let r2 = g.relu(r1).unwrap();
+        g.mark_output(r2);
+        g.mark_output(r1);
+        let chip = catalog::tpu_v4i();
+        let exe = compile(&g, &chip, &CompilerOptions::default()).unwrap();
+        let outputs: Vec<u64> = exe
+            .plan()
+            .steps()
+            .iter()
+            .filter(|s| s.tag == "output")
+            .map(|s| match s.kind {
+                StepKind::DmaOut { bytes, .. } => bytes,
+                _ => panic!("output step is not a DMA out: {:?}", s.kind),
+            })
+            .collect();
+        assert_eq!(outputs, vec![8 * 512 * 2]);
+        // Two distinct outputs still get one DMA each.
+        let exe_o0 = compile(&g, &chip, &CompilerOptions::level(OptLevel::O0)).unwrap();
+        let o0_outputs = exe_o0
+            .plan()
+            .steps()
+            .iter()
+            .filter(|s| s.tag == "output")
+            .count();
+        assert_eq!(o0_outputs, 2);
+    }
+
+    #[test]
     fn compile_rejects_hand_assembled_garbage() {
         // A dangling output id gets past no verifier.
         let g = mlp(4);

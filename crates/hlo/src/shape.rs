@@ -4,10 +4,15 @@ use std::fmt;
 
 use tpu_numerics::DType;
 
-/// A dense row-major tensor shape.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A dense row-major tensor shape of rank `1..=MAX_RANK`.
+///
+/// The dims are stored inline, so a shape is `Copy` and cloning a graph
+/// or re-inferring its shapes never touches the heap. Slots past the
+/// rank hold zero. No dim is zero, so the rank is the number of nonzero
+/// slots, and the derived equality and hash compare exactly the dims.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorShape {
-    dims: Vec<u64>,
+    dims: [u64; TensorShape::MAX_RANK],
 }
 
 /// Error produced by shape inference.
@@ -25,6 +30,13 @@ pub enum ShapeError {
         lhs: TensorShape,
         /// Right-hand shape.
         rhs: TensorShape,
+    },
+    /// A shape has more dimensions than [`TensorShape::MAX_RANK`].
+    RankTooLarge {
+        /// Rank requested.
+        rank: usize,
+        /// The largest rank a shape can hold.
+        max: usize,
     },
     /// The op requires a different rank.
     BadRank {
@@ -62,6 +74,9 @@ impl fmt::Display for ShapeError {
             ShapeError::Mismatch { context, lhs, rhs } => {
                 write!(f, "{context}: {lhs} vs {rhs}")
             }
+            ShapeError::RankTooLarge { rank, max } => {
+                write!(f, "shape has rank {rank}, more than the maximum {max}")
+            }
             ShapeError::BadRank {
                 context,
                 found,
@@ -85,36 +100,61 @@ impl fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 impl TensorShape {
-    /// Creates a shape, validating that it is non-scalar with no zero dims.
+    /// The largest rank a shape can hold. Every op in the set is at most
+    /// rank 4 (NHWC convolutions and pools).
+    pub const MAX_RANK: usize = 4;
+
+    /// Creates a shape, validating that it is non-scalar, has no zero
+    /// dims and has at most [`TensorShape::MAX_RANK`] dims.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError::Scalar`] or [`ShapeError::ZeroDim`].
+    /// Returns [`ShapeError::Scalar`], [`ShapeError::ZeroDim`] or
+    /// [`ShapeError::RankTooLarge`].
     pub fn new(dims: &[u64]) -> Result<TensorShape, ShapeError> {
         if dims.is_empty() {
             return Err(ShapeError::Scalar);
         }
+        if dims.len() > TensorShape::MAX_RANK {
+            return Err(ShapeError::RankTooLarge {
+                rank: dims.len(),
+                max: TensorShape::MAX_RANK,
+            });
+        }
         if dims.contains(&0) {
             return Err(ShapeError::ZeroDim);
         }
-        Ok(TensorShape {
-            dims: dims.to_vec(),
-        })
+        let mut inline = [0; TensorShape::MAX_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        Ok(TensorShape { dims: inline })
+    }
+
+    /// This shape with its trailing dimension replaced by `trailing`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError::ZeroDim`] if `trailing` is zero.
+    pub(crate) fn with_trailing(mut self, trailing: u64) -> Result<TensorShape, ShapeError> {
+        if trailing == 0 {
+            return Err(ShapeError::ZeroDim);
+        }
+        self.dims[self.rank() - 1] = trailing;
+        Ok(self)
     }
 
     /// The dimensions.
     pub fn dims(&self) -> &[u64] {
-        &self.dims
+        &self.dims[..self.rank()]
     }
 
     /// Rank (number of dimensions).
     pub fn rank(&self) -> usize {
-        self.dims.len()
+        self.dims.iter().take_while(|&&d| d != 0).count()
     }
 
     /// Total element count.
     pub fn elements(&self) -> u64 {
-        self.dims.iter().product()
+        self.dims().iter().product()
     }
 
     /// Storage size in bytes at the given precision.
@@ -129,14 +169,14 @@ impl TensorShape {
 
     /// The trailing (feature) dimension.
     pub fn trailing(&self) -> u64 {
-        *self.dims.last().expect("shapes are non-scalar")
+        self.dims[self.rank() - 1]
     }
 }
 
 impl fmt::Display for TensorShape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, d) in self.dims.iter().enumerate() {
+        for (i, d) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -166,6 +206,31 @@ mod tests {
         assert_eq!(s.bytes(DType::Int8), 512);
         assert_eq!(s.leading(), 4);
         assert_eq!(s.trailing(), 16);
+    }
+
+    #[test]
+    fn max_rank_is_accepted_and_one_more_is_a_typed_error() {
+        let max = vec![2; TensorShape::MAX_RANK];
+        let s = TensorShape::new(&max).unwrap();
+        assert_eq!(s.rank(), TensorShape::MAX_RANK);
+        assert_eq!(s.dims(), &max[..]);
+        let over = vec![2; TensorShape::MAX_RANK + 1];
+        assert_eq!(
+            TensorShape::new(&over),
+            Err(ShapeError::RankTooLarge {
+                rank: TensorShape::MAX_RANK + 1,
+                max: TensorShape::MAX_RANK,
+            })
+        );
+    }
+
+    #[test]
+    fn equality_ignores_unused_slots() {
+        let a = TensorShape::new(&[4, 8]).unwrap();
+        let b = a.with_trailing(16).unwrap().with_trailing(8).unwrap();
+        assert_eq!(a, b);
+        assert_ne!(a, TensorShape::new(&[4, 8, 1]).unwrap());
+        assert_eq!(a.with_trailing(0), Err(ShapeError::ZeroDim));
     }
 
     #[test]
