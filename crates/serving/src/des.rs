@@ -18,7 +18,8 @@
 //! [`ServingReport::conservation_holds`]).
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
@@ -27,7 +28,6 @@ use rand::{Rng, SeedableRng};
 use tpu_telemetry::{EventSink, NullSink, Recorder, SpanPhase, TelemetryEvent, Track};
 
 use crate::arena::{Handle, SlotArena};
-use crate::equeue::{CalendarQueue, EventQueue, HeapQueue, TimeKey};
 use crate::faults::{FailoverConfig, FaultKind, FaultPlan, ScheduledFault};
 use crate::genmodel::GenerationModel;
 use crate::latency::{GenLatencyModel, LatencyModel};
@@ -620,6 +620,36 @@ impl ServingReport {
     }
 }
 
+/// Simulation-time ordering key: `f64` under `total_cmp` (the engines
+/// never produce NaN times, and `total_cmp` keeps the type totally
+/// ordered anyway).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TimeKey(f64);
+
+impl Eq for TimeKey {}
+
+impl PartialOrd for TimeKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TimeKey {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// The full event key: `(time, sequence)`. Every push takes a fresh
+/// sequence number, so keys are unique and same-timestamp events pop
+/// FIFO: the whole pop order is fixed by the keys alone, never by the
+/// payloads or by the heap's internal layout.
+type EventKey = (TimeKey, u64);
+
+/// A min-queue of keyed events: `std`'s max-heap under `Reverse`.
+type EventHeap<E> = BinaryHeap<Reverse<(EventKey, E)>>;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     /// Fresh request `i` arrives.
@@ -933,42 +963,7 @@ pub fn simulate_fleet_with_faults(
 ) -> Result<ServingReport, ConfigError> {
     cfg.validate()?;
     plan.validate(cfg.pool.servers)?;
-    Ok(Engine::new(latency, cfg, plan, NullSink, fleet_queue(cfg)).run())
-}
-
-/// The fleet engine's calendar queue, with bucket width derived from
-/// the validated config's dominant **queued**-event timescale. The
-/// arrival stream bypasses the queue entirely (`pending_arrival`), so
-/// the events that actually live in buckets are batch timeouts, Done
-/// completions, and expiry sweeps — all of order `batch_timeout_s` or
-/// slower. Sizing buckets to the mean arrival interval would make the
-/// cursor walk dozens of empty buckets per pop at high arrival rates;
-/// the timeout floor keeps the walk proportional to real events. The
-/// width affects performance only: pop order is `(time, seq)` exact
-/// regardless (see the differential suite).
-fn fleet_queue(cfg: &FleetConfig) -> CalendarQueue<Event> {
-    let arrival = 1.0 / cfg.pool.base.arrival_rate_rps;
-    CalendarQueue::for_timescale(arrival.max(cfg.pool.base.batch_timeout_s))
-}
-
-/// [`simulate_fleet_with_faults`] run on the reference binary-heap
-/// event queue instead of the calendar queue. The two queues pop the
-/// same `(time, seq)` total order, so the report is bit-identical by
-/// construction — the differential suite
-/// (`tests/queue_differential.rs`) holds this entry point against the
-/// production one.
-///
-/// # Errors
-///
-/// [`ConfigError`] for degenerate serving configurations or fault plans.
-pub fn simulate_fleet_with_faults_reference(
-    latency: &LatencyModel,
-    cfg: &FleetConfig,
-    plan: &FaultPlan,
-) -> Result<ServingReport, ConfigError> {
-    cfg.validate()?;
-    plan.validate(cfg.pool.servers)?;
-    Ok(Engine::new(latency, cfg, plan, NullSink, HeapQueue::new()).run())
+    Ok(Engine::new(latency, cfg, plan, NullSink).run())
 }
 
 /// [`simulate_fleet_with_faults`] plus the raw end-to-end latency
@@ -990,24 +985,7 @@ pub fn simulate_fleet_samples(
 ) -> Result<(ServingReport, Vec<f64>), ConfigError> {
     cfg.validate()?;
     plan.validate(cfg.pool.servers)?;
-    Ok(Engine::new(latency, cfg, plan, NullSink, fleet_queue(cfg)).run_with_samples())
-}
-
-/// [`simulate_fleet_samples`] on the reference heap queue (see
-/// [`simulate_fleet_with_faults_reference`]); backs the global-fleet
-/// differential runs.
-///
-/// # Errors
-///
-/// [`ConfigError`] for degenerate serving configurations or fault plans.
-pub fn simulate_fleet_samples_reference(
-    latency: &LatencyModel,
-    cfg: &FleetConfig,
-    plan: &FaultPlan,
-) -> Result<(ServingReport, Vec<f64>), ConfigError> {
-    cfg.validate()?;
-    plan.validate(cfg.pool.servers)?;
-    Ok(Engine::new(latency, cfg, plan, NullSink, HeapQueue::new()).run_with_samples())
+    Ok(Engine::new(latency, cfg, plan, NullSink).run_with_samples())
 }
 
 /// Everything [`simulate_fleet_with_faults`] does, with the full request
@@ -1034,28 +1012,7 @@ pub fn simulate_fleet_recorded(
 ) -> Result<ServingReport, ConfigError> {
     cfg.validate()?;
     plan.validate(cfg.pool.servers)?;
-    let report = Engine::new(latency, cfg, plan, &mut *recorder, fleet_queue(cfg)).run();
-    recorder.add_counter("events_processed", report.metrics.events_processed.get());
-    Ok(report)
-}
-
-/// [`simulate_fleet_recorded`] on the reference heap queue: the
-/// recorded telemetry stream, not just the report, must match the
-/// calendar-queue run event for event (the differential suite compares
-/// both).
-///
-/// # Errors
-///
-/// [`ConfigError`] for degenerate configurations or fault plans.
-pub fn simulate_fleet_recorded_reference(
-    latency: &LatencyModel,
-    cfg: &FleetConfig,
-    plan: &FaultPlan,
-    recorder: &mut Recorder,
-) -> Result<ServingReport, ConfigError> {
-    cfg.validate()?;
-    plan.validate(cfg.pool.servers)?;
-    let report = Engine::new(latency, cfg, plan, &mut *recorder, HeapQueue::new()).run();
+    let report = Engine::new(latency, cfg, plan, &mut *recorder).run();
     recorder.add_counter("events_processed", report.metrics.events_processed.get());
     Ok(report)
 }
@@ -1104,7 +1061,7 @@ fn event_kind(e: &Event) -> &'static str {
 /// guarded by `if S::ENABLED`, so the [`NullSink`] instantiation (all
 /// untraced entry points) monomorphizes to exactly the uninstrumented
 /// engine — zero overhead when disabled.
-struct Engine<'a, S: EventSink, Q: EventQueue<Event>> {
+struct Engine<'a, S: EventSink> {
     sink: S,
     /// Latest popped event time (telemetry only): end-of-run records
     /// are stamped at `end_time.max(last_now)` so late timer pops keep
@@ -1124,16 +1081,15 @@ struct Engine<'a, S: EventSink, Q: EventQueue<Event>> {
     /// Straggler multipliers draw from their own stream so enabling or
     /// disabling other features never perturbs them.
     straggler_rng: StdRng,
-    /// Queue for the irregular event streams (Done, Timeout, Retry,
-    /// expiry sweeps, faults, probes) — a [`CalendarQueue`] in
-    /// production, the reference [`HeapQueue`] in the differential
-    /// suite. The highest-volume stream — arrivals — bypasses it: at
-    /// most one is outstanding, held in `pending_arrival`. Both sources
-    /// share one `seq` counter and are merged by `(TimeKey, seq)`, so
-    /// the pop order is exactly what a single queue would produce.
-    events: Q,
+    /// Heap for the irregular event streams (Done, Timeout, Retry,
+    /// expiry sweeps, faults, probes). The highest-volume stream —
+    /// arrivals — bypasses it: at most one is outstanding, held in
+    /// `pending_arrival`. Both sources share one `seq` counter and are
+    /// merged by `(TimeKey, seq)`, so the pop order is exactly what a
+    /// single queue would produce.
+    events: EventHeap<Event>,
     /// The one in-flight `Event::Arrival`, keyed like a heap entry.
-    pending_arrival: Option<((TimeKey, u64), usize)>,
+    pending_arrival: Option<(EventKey, usize)>,
     /// Interpolated service latency per batch size (index = batch size),
     /// so the launch path does no interpolation.
     latency_cache: Vec<f64>,
@@ -1167,14 +1123,13 @@ struct Engine<'a, S: EventSink, Q: EventQueue<Event>> {
     end_time: f64,
 }
 
-impl<'a, S: EventSink, Q: EventQueue<Event>> Engine<'a, S, Q> {
+impl<'a, S: EventSink> Engine<'a, S> {
     fn new(
         latency: &'a LatencyModel,
         cfg: &FleetConfig,
         plan: &FaultPlan,
         sink: S,
-        events: Q,
-    ) -> Engine<'a, S, Q> {
+    ) -> Engine<'a, S> {
         let base = &cfg.pool.base;
         let n = base.requests;
         assert!(n < u32::MAX as usize, "request ids are u32");
@@ -1208,7 +1163,7 @@ impl<'a, S: EventSink, Q: EventQueue<Event>> Engine<'a, S, Q> {
             faults: plan.materialize(cfg.pool.servers),
             arrivals,
             straggler_rng: StdRng::seed_from_u64(base.seed ^ 0x9E37_79B9_7F4A_7C15),
-            events,
+            events: BinaryHeap::new(),
             pending_arrival: None,
             latency_cache: (0..=base.max_batch.min(4096))
                 .map(|b| latency.latency(b.max(1)))
@@ -1264,15 +1219,15 @@ impl<'a, S: EventSink, Q: EventQueue<Event>> Engine<'a, S, Q> {
                 debug_assert!(self.pending_arrival.is_none(), "one arrival at a time");
                 self.pending_arrival = Some((key, i));
             }
-            _ => self.events.push(key, e),
+            _ => self.events.push(Reverse((key, e))),
         }
     }
 
-    /// Pops the globally next event across the two sources (queue,
+    /// Pops the globally next event across the two sources (heap,
     /// pending arrival) by `(time, seq)` — exactly the order a single
     /// queue would yield, at O(1) for the arrival stream.
     fn next_event(&mut self) -> Option<(f64, Event)> {
-        let hk = self.events.peek_key();
+        let hk = self.peek_key();
         let ak = self.pending_arrival.map(|(k, _)| k);
         if let Some(a) = ak {
             if hk.is_none_or(|h| a < h) {
@@ -1280,8 +1235,14 @@ impl<'a, S: EventSink, Q: EventQueue<Event>> Engine<'a, S, Q> {
                 return Some((k.0 .0, Event::Arrival(i)));
             }
         }
-        let (k, e) = self.events.pop()?;
+        let Reverse((k, e)) = self.events.pop()?;
         Some((k.0 .0, e))
+    }
+
+    /// The smallest queued key, without removing it.
+    #[inline]
+    fn peek_key(&self) -> Option<EventKey> {
+        self.events.peek().map(|Reverse((k, _))| *k)
     }
 
     /// Pops the next event only if it fires at exactly (bit-equal) `t`
@@ -1290,7 +1251,7 @@ impl<'a, S: EventSink, Q: EventQueue<Event>> Engine<'a, S, Q> {
     /// pushed mid-run carry higher sequence numbers and sort after the
     /// run, so draining a run in place changes nothing observable.
     fn next_event_at(&mut self, t: f64) -> Option<Event> {
-        let hk = self.events.peek_key();
+        let hk = self.peek_key();
         if let Some(a) = self.pending_arrival.map(|(k, _)| k) {
             if hk.is_none_or(|h| a < h) {
                 if a.0 .0.to_bits() != t.to_bits() {
@@ -1304,7 +1265,7 @@ impl<'a, S: EventSink, Q: EventQueue<Event>> Engine<'a, S, Q> {
         if h.0 .0.to_bits() != t.to_bits() {
             return None;
         }
-        let (_, e) = self.events.pop().expect("peeked");
+        let Reverse((_, e)) = self.events.pop().expect("peeked");
         Some(e)
     }
 
@@ -2097,8 +2058,8 @@ impl<'a, S: EventSink, Q: EventQueue<Event>> Engine<'a, S, Q> {
                 );
             }
         }
-        debug_assert_eq!(self.queued_live, 0, "live-queued accounting drift");
-        debug_assert_eq!(
+        assert_eq!(self.queued_live, 0, "live-queued accounting drift");
+        assert_eq!(
             self.completed + self.shed + self.failed + dropped,
             n,
             "request conservation violated"
@@ -2294,7 +2255,7 @@ enum GenPhase {
 /// Events for the queue-driven decode loop
 /// ([`GenEngine::run_via_queue`]). The derived order never decides a
 /// pop — every pushed key carries a unique sequence number — it only
-/// satisfies the heap reference's `Ord` bound.
+/// satisfies the heap's `Ord` bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum GenEvent {
     /// Request `i` arrives.
@@ -2712,20 +2673,23 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
         }
     }
 
-    /// Drives the identical decode state machine through an
-    /// [`EventQueue`] instead of the two-source select in
+    /// Drives the identical decode state machine through a binary heap
+    /// of keyed events instead of the two-source select in
     /// [`Self::run`]. Sequence keys are band-separated: arrival `i`
     /// carries seq `i` (all `< n`), decode steps carry seqs `> n` — so
     /// an arrival landing exactly on a step boundary pops first,
     /// reproducing the production loop's `a <= s` tie rule bit for
-    /// bit. Differential anchor for the queue implementations.
-    fn run_via_queue<Q: EventQueue<GenEvent>>(mut self, mut events: Q) -> GenReport {
+    /// bit. The reference the select is tested against.
+    fn run_via_queue(mut self) -> GenReport {
         let n = self.cfg.requests;
-        for (i, &t) in self.arrivals.iter().enumerate() {
-            events.push((TimeKey(t), i as u64), GenEvent::Arrival(i));
-        }
+        let mut events: EventHeap<GenEvent> = self
+            .arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Reverse(((TimeKey(t), i as u64), GenEvent::Arrival(i))))
+            .collect();
         let mut step_seq = n as u64;
-        while let Some(((TimeKey(now), _), ev)) = events.pop() {
+        while let Some(Reverse(((TimeKey(now), _), ev))) = events.pop() {
             self.metrics.events_processed.inc();
             // At most one step is in flight. A `step_end` surviving an
             // Arrival was queued earlier; anything `step_done` leaves
@@ -2745,7 +2709,7 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
             if fresh {
                 if let Some(s) = self.step_end {
                     step_seq += 1;
-                    events.push((TimeKey(s), step_seq), GenEvent::StepDone);
+                    events.push(Reverse(((TimeKey(s), step_seq), GenEvent::StepDone)));
                 }
             }
         }
@@ -2756,10 +2720,10 @@ impl<'a, S: EventSink> GenEngine<'a, S> {
         // Validation guarantees any single request fits an empty-batch
         // KV, arrivals are finite, and outputs are bounded — so the
         // loop drains completely.
-        debug_assert!(self.waiting.is_empty(), "decode loop drained");
-        debug_assert!(self.batch.is_empty(), "decode loop drained");
-        debug_assert_eq!(self.kv_reserved, 0, "KV accounting drift");
-        debug_assert_eq!(
+        assert!(self.waiting.is_empty(), "decode loop drained");
+        assert!(self.batch.is_empty(), "decode loop drained");
+        assert_eq!(self.kv_reserved, 0, "KV accounting drift");
+        assert_eq!(
             self.completed, self.cfg.requests,
             "per-request conservation"
         );
@@ -2855,10 +2819,11 @@ pub fn simulate_generation_recorded(
     Ok(report)
 }
 
-/// [`simulate_generation`] with the decode loop driven through the
-/// reference binary-heap [`EventQueue`] instead of the production
-/// two-source select. Kept as the differential anchor: for every valid
-/// config the report is byte-identical to [`simulate_generation`].
+/// [`simulate_generation`] with the decode loop driven through a
+/// binary heap of keyed events instead of the production two-source
+/// select. Kept as the reference the select is tested against: for
+/// every valid config the report is byte-identical to
+/// [`simulate_generation`].
 ///
 /// # Errors
 ///
@@ -2869,28 +2834,11 @@ pub fn simulate_generation_reference(
 ) -> Result<GenReport, ConfigError> {
     cfg.validate()?;
     validate_gen_latency(lat, cfg)?;
-    Ok(GenEngine::new(lat, cfg, NullSink).run_via_queue(HeapQueue::new()))
+    Ok(GenEngine::new(lat, cfg, NullSink).run_via_queue())
 }
 
-/// [`simulate_generation`] with the decode loop driven through the
-/// calendar queue, exercising bucket scheduling on the decode loop's
-/// arrival/step event pattern. Byte-identical to the production path.
-///
-/// # Errors
-///
-/// [`ConfigError`] for degenerate configurations or latency curves.
-pub fn simulate_generation_calendar(
-    lat: &GenLatencyModel,
-    cfg: &GenConfig,
-) -> Result<GenReport, ConfigError> {
-    cfg.validate()?;
-    validate_gen_latency(lat, cfg)?;
-    let q = CalendarQueue::for_timescale(1.0 / cfg.arrival_rate_rps);
-    Ok(GenEngine::new(lat, cfg, NullSink).run_via_queue(q))
-}
-
-/// [`simulate_generation_recorded`] through the reference heap queue:
-/// same recorded telemetry stream and counters as the production path.
+/// [`simulate_generation_recorded`] through the heap-driven reference
+/// loop: same recorded telemetry stream and counters as the production path.
 ///
 /// # Errors
 ///
@@ -2902,7 +2850,7 @@ pub fn simulate_generation_recorded_reference(
 ) -> Result<GenReport, ConfigError> {
     cfg.validate()?;
     validate_gen_latency(lat, cfg)?;
-    let report = GenEngine::new(lat, cfg, &mut *recorder).run_via_queue(HeapQueue::new());
+    let report = GenEngine::new(lat, cfg, &mut *recorder).run_via_queue();
     recorder.add_counter("events_processed", report.metrics.events_processed.get());
     Ok(report)
 }
@@ -2923,6 +2871,49 @@ mod tests {
             batch_timeout_s: 0.001,
             requests: 4000,
             seed: 42,
+        }
+    }
+
+    /// The event core's ordering contract: a pending arrival and
+    /// queued events at one bit-equal time pop in push (`seq`) order,
+    /// whichever source holds them and whatever order they were pushed
+    /// in. Queued payloads are pushed so that their derived `Ord`
+    /// disagrees with `seq`, so only the key can be deciding.
+    #[test]
+    fn same_timestamp_pops_fifo_by_sequence() {
+        let m = linear_model();
+        let fleet = FleetConfig::new(cfg(1000.0).with_servers(1));
+        let plan = FaultPlan::none();
+        let t = 0.125;
+        for arrival_at in [0, 50, 100] {
+            let mut want = Vec::new();
+            let mut by_next = Engine::new(&m, &fleet, &plan, NullSink);
+            let mut by_next_at = Engine::new(&m, &fleet, &plan, NullSink);
+            for i in 0..=100 {
+                let e = if i == arrival_at {
+                    Event::Arrival(0)
+                } else {
+                    Event::Timeout { server: 100 - i }
+                };
+                by_next.push_event(t, e);
+                by_next_at.push_event(t, e);
+                want.push(e);
+            }
+            let got: Vec<Event> = std::iter::from_fn(|| by_next.next_event())
+                .map(|(at, e)| {
+                    assert_eq!(at.to_bits(), t.to_bits());
+                    e
+                })
+                .collect();
+            assert_eq!(got, want, "next_event, arrival pushed at {arrival_at}");
+            assert_eq!(
+                by_next_at.next_event_at(t + 1e-9),
+                None,
+                "later time pops nothing"
+            );
+            let got: Vec<Event> = std::iter::from_fn(|| by_next_at.next_event_at(t)).collect();
+            assert_eq!(got, want, "next_event_at, arrival pushed at {arrival_at}");
+            assert_eq!(by_next_at.next_event(), None);
         }
     }
 

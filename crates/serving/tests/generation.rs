@@ -1,12 +1,16 @@
 //! Property and trace tests for the autoregressive decode loop: per-token
 //! conservation, KV-residency capacity, the continuous ≡ static
-//! equivalence at single-token outputs, and the derived-only telemetry
-//! contract (recorded ≡ unrecorded, bit for bit).
+//! equivalence at single-token outputs, the derived-only telemetry
+//! contract (recorded ≡ unrecorded, bit for bit), and the production
+//! two-source select held against the heap-driven reference loop.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use tpu_serving::des::{
-    simulate_generation, simulate_generation_recorded, BatchingMode, GenConfig,
+    simulate_generation, simulate_generation_recorded, simulate_generation_recorded_reference,
+    simulate_generation_reference, BatchingMode, GenConfig,
 };
 use tpu_serving::genmodel::{GenerationModel, TokenDistribution};
 use tpu_serving::latency::{GenLatencyModel, LatencyModel};
@@ -188,4 +192,101 @@ fn continuous_dominates_static_under_overload() {
         b.p99_ttft_s,
         a.p99_ttft_s
     );
+}
+
+/// A random-but-valid decode-loop config in either batching mode, with
+/// a random latency curve (unlike `build_cfg`'s fixed one).
+fn random_gen(rng: &mut StdRng) -> (GenLatencyModel, GenConfig) {
+    let lat = GenLatencyModel {
+        prefill: LatencyModel::from_points(vec![
+            (1, rng.gen_range(0.0005..0.002)),
+            (1000, rng.gen_range(0.005..0.02)),
+        ])
+        .expect("monotone points"),
+        decode: LatencyModel::from_points(vec![
+            (1, rng.gen_range(0.001..0.004)),
+            (32, rng.gen_range(0.004..0.008)),
+        ])
+        .expect("monotone points"),
+    };
+    let model = GenerationModel {
+        prompt: TokenDistribution::Uniform {
+            min: 1,
+            max: rng.gen_range(8u64..512),
+        },
+        output: TokenDistribution::Geometric {
+            mean: rng.gen_range(1.0..48.0),
+            max: rng.gen_range(16u64..128),
+        },
+        kv_bytes_per_token: 4096,
+    };
+    let cfg = GenConfig {
+        arrival_rate_rps: rng.gen_range(5.0..400.0),
+        requests: rng.gen_range(100usize..400),
+        seed: rng.gen_range(0..u64::MAX),
+        mode: if rng.gen_bool(0.5) {
+            BatchingMode::Continuous
+        } else {
+            BatchingMode::Static
+        },
+        max_batch: rng.gen_range(1u64..24),
+        kv_capacity_bytes: model.peak_request_kv_bytes() * rng.gen_range(1u64..6),
+        ttft_slo_s: rng.gen_bool(0.7).then(|| rng.gen_range(0.05..0.5)),
+        model,
+    };
+    (lat, cfg)
+}
+
+/// The production two-source select and the heap-driven reference loop
+/// must agree exactly. This pins the reference's band-separated
+/// sequence keys to the select's `a <= s` tie rule.
+#[test]
+fn generation_queue_paths_match_production() {
+    let mut rng = StdRng::seed_from_u64(0xD1FF_0002);
+    for case in 0..100 {
+        let (lat, cfg) = random_gen(&mut rng);
+        let prod = simulate_generation(&lat, &cfg).expect("valid config");
+        let heap = simulate_generation_reference(&lat, &cfg).expect("valid config");
+        assert_eq!(prod, heap, "gen heap path diverged on case {case}: {cfg:?}");
+    }
+}
+
+/// Telemetry streams are part of the contract: identical event
+/// sequences (timestamp *bits*, track, phase, name, id, arg) and
+/// identical counter maps, not just identical reports.
+fn assert_streams_identical(a: &Recorder, b: &Recorder, what: &str) {
+    assert_eq!(a.counters(), b.counters(), "{what}: counters diverged");
+    assert_eq!(a.gauges(), b.gauges(), "{what}: gauges diverged");
+    assert_eq!(a.len(), b.len(), "{what}: event counts diverged");
+    for (i, (x, y)) in a.events().zip(b.events()).enumerate() {
+        assert_eq!(
+            x.t_s.to_bits(),
+            y.t_s.to_bits(),
+            "{what}: event {i} timestamp bits diverged ({} vs {})",
+            x.t_s,
+            y.t_s
+        );
+        assert_eq!(
+            (x.track, x.phase, &x.name, x.id, x.arg),
+            (y.track, y.phase, &y.name, y.id, y.arg),
+            "{what}: event {i} payload diverged"
+        );
+    }
+}
+
+/// The recorded telemetry stream, not just the report, is the same
+/// whichever driver runs the decode loop.
+#[test]
+fn recorded_generation_streams_are_identical_across_drivers() {
+    let mut rng = StdRng::seed_from_u64(0xD1FF_0004);
+    for case in 0..16 {
+        let (lat, cfg) = random_gen(&mut rng);
+        let mut prod_rec = Recorder::new();
+        let mut heap_rec = Recorder::new();
+        let prod = simulate_generation_recorded(&lat, &cfg, &mut prod_rec).expect("valid");
+        let heap =
+            simulate_generation_recorded_reference(&lat, &cfg, &mut heap_rec).expect("valid");
+        assert_eq!(prod, heap, "recorded gen report diverged on case {case}");
+        assert_streams_identical(&prod_rec, &heap_rec, &format!("gen case {case}"));
+    }
 }
