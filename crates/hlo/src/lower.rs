@@ -45,6 +45,21 @@ enum WeightSource {
     InVmem(OpId),
 }
 
+/// A matrix op viewed as the GEMM `rows x inner @ inner x cols`.
+#[derive(Debug, Clone, Copy)]
+struct Gemm {
+    rows: u64,
+    inner: u64,
+    cols: u64,
+    /// The streamed (left-hand) activation input.
+    act: OpId,
+    /// The right-hand operand.
+    rhs: OpId,
+    /// Whether `rhs` is a weight that may stream from HBM or CMEM
+    /// (dot and convolution); a batch matmul's is always in VMEM.
+    rhs_is_weight: bool,
+}
+
 /// Lowers a graph for a chip.
 pub fn lower(
     graph: &Graph,
@@ -53,6 +68,18 @@ pub fn lower(
     memory: &MemoryPlan,
     options: &CompilerOptions,
 ) -> Lowered {
+    lower_sized(graph, chip, fusion, memory, options).0
+}
+
+/// [`lower`], also returning the `(steps, dependency edges)` the plan
+/// was sized for before emitting.
+fn lower_sized(
+    graph: &Graph,
+    chip: &ChipConfig,
+    fusion: &FusionMap,
+    memory: &MemoryPlan,
+    options: &CompilerOptions,
+) -> (Lowered, (usize, usize)) {
     let n = graph.nodes().len();
     // A fused node's value is its cluster's: it reads `produced` and
     // `spilled` through its root. Reshapes alias their input the same
@@ -86,6 +113,8 @@ pub fn lower(
     // Dead-code elimination: only nodes reachable from the outputs emit
     // steps (XLA always DCEs; an unused parameter must not cost a DMA).
     let live = reachable_from_outputs(graph);
+    let size = ctx.plan_size(&live, fusion);
+    ctx.plan.reserve(size.0, size.1);
     for node in graph.nodes() {
         if !live[node.id.index()] {
             continue;
@@ -129,11 +158,24 @@ pub fn lower(
         .push(Bundle::new().scalar(ScalarOp::SyncDma { queue: 1 }));
     ctx.program.push(Bundle::new().scalar(ScalarOp::Halt));
 
-    Lowered {
+    debug_assert_eq!(
+        size,
+        (
+            ctx.plan.len(),
+            ctx.plan
+                .steps()
+                .iter()
+                .map(|s| ctx.plan.deps(s.id).len())
+                .sum()
+        ),
+        "plan_size must count exactly what lowering emits"
+    );
+    let lowered = Lowered {
         plan: ctx.plan,
         program: ctx.program,
         accum_emulated: ctx.accum_emulate,
-    }
+    };
+    (lowered, size)
 }
 
 /// Marks every node reachable (transitively) from a graph output.
@@ -249,13 +291,10 @@ impl Ctx<'_> {
     /// pristine copy already lives in HBM, so consumers simply re-read
     /// (marked spilled with no write-back).
     fn maybe_spill(&mut self, node: &Node) {
-        let bytes = node.shape.bytes(self.dtype());
-        if bytes <= self.spill_threshold {
+        if !self.spills(node) {
             return;
         }
-        if !self.liveness.live_after(node.id, node.id.index()) {
-            return; // dying immediately; nothing to keep
-        }
+        let bytes = node.shape.bytes(self.dtype());
         if matches!(node.op, HloOp::Parameter) {
             self.spilled[node.id.index()] = true;
             return;
@@ -310,30 +349,14 @@ impl Ctx<'_> {
             HloOp::Constant => {
                 // Weights are streamed per tile by consumers.
             }
-            HloOp::Dot { lhs, rhs } => {
-                let k = self.graph.node(rhs).shape.leading();
-                let n = self.graph.node(rhs).shape.trailing();
-                let rows = self.graph.node(lhs).shape.elements() / k;
-                let source = self.weight_source(rhs);
-                self.lower_matmul(node, rows, k, n, source, lhs);
-            }
-            HloOp::Conv2d { input, kernel, .. } => {
-                let ks = &self.graph.node(kernel).shape;
-                let (kh, kw, cin, cout) = (ks.dims()[0], ks.dims()[1], ks.dims()[2], ks.dims()[3]);
-                let rows = node.shape.elements() / cout; // n*oh*ow
-                let inner = kh * kw * cin;
-                let source = self.weight_source(kernel);
-                self.lower_matmul(node, rows, inner, cout, source, input);
-            }
-            HloOp::BatchMatmul {
-                a,
-                b,
-                batch,
-                m,
-                k,
-                n,
-            } => {
-                self.lower_matmul(node, batch * m, k, n, WeightSource::InVmem(b), a);
+            HloOp::Dot { .. } | HloOp::Conv2d { .. } | HloOp::BatchMatmul { .. } => {
+                let gemm = self.gemm(node);
+                let source = if gemm.rhs_is_weight {
+                    self.weight_source(gemm.rhs)
+                } else {
+                    WeightSource::InVmem(gemm.rhs)
+                };
+                self.lower_matmul(node, gemm.rows, gemm.inner, gemm.cols, source, gemm.act);
             }
             HloOp::Embedding { table, .. } => {
                 // Gather: random-access reads; charge 2x for row granularity.
@@ -388,6 +411,182 @@ impl Ctx<'_> {
         }
     }
 
+    /// A matrix op as the GEMM it lowers to.
+    fn gemm(&self, node: &Node) -> Gemm {
+        match node.op {
+            HloOp::Dot { lhs, rhs } => {
+                let k = self.graph.node(rhs).shape.leading();
+                Gemm {
+                    rows: self.graph.node(lhs).shape.elements() / k,
+                    inner: k,
+                    cols: self.graph.node(rhs).shape.trailing(),
+                    act: lhs,
+                    rhs,
+                    rhs_is_weight: true,
+                }
+            }
+            HloOp::Conv2d { input, kernel, .. } => {
+                let ks = &self.graph.node(kernel).shape;
+                let (kh, kw, cin, cout) = (ks.dims()[0], ks.dims()[1], ks.dims()[2], ks.dims()[3]);
+                Gemm {
+                    rows: node.shape.elements() / cout, // n*oh*ow
+                    inner: kh * kw * cin,
+                    cols: cout,
+                    act: input,
+                    rhs: kernel,
+                    rhs_is_weight: true,
+                }
+            }
+            HloOp::BatchMatmul {
+                a,
+                b,
+                batch,
+                m,
+                k,
+                n,
+            } => Gemm {
+                rows: batch * m,
+                inner: k,
+                cols: n,
+                act: a,
+                rhs: b,
+                rhs_is_weight: false,
+            },
+            _ => unreachable!("{} is not a matrix op", node.op.mnemonic()),
+        }
+    }
+
+    /// Column tiling of a GEMM with `cols` output columns: `(col_tile,
+    /// chunks)`. The tile is bounded by the VMEM working set (memory
+    /// plan) and split across the MXU pool so independent output-column
+    /// chunks run on different MXUs, as XLA does.
+    fn column_tiling(&self, cols: u64) -> (u64, u64) {
+        let d = self.chip.mxu_dim as u64;
+        let pool = (self.chip.mxus_per_core * self.chip.cores).max(1) as u64;
+        let mut col_tile = self.memory.col_tile.min(cols.max(1));
+        let target_chunks = pool.min(cols.div_ceil(d)).max(1);
+        let per_mxu = cols.div_ceil(target_chunks).div_ceil(d) * d;
+        col_tile = col_tile.min(per_mxu.max(d));
+        (col_tile, cols.div_ceil(col_tile).max(1))
+    }
+
+    /// Whether [`Ctx::maybe_spill`] writes `node`'s value back to HBM
+    /// (or, for a parameter, marks its HBM copy as the one to re-read):
+    /// it exceeds the VMEM threshold and is still needed later.
+    fn spills(&self, node: &Node) -> bool {
+        node.shape.bytes(self.dtype()) > self.spill_threshold
+            && self.liveness.live_after(node.id, node.id.index())
+    }
+
+    /// The number of steps and dependency edges lowering will emit,
+    /// from a dry run of the same decisions that tracks only how many
+    /// steps produce each value and whether it spilled. It sizes the
+    /// plan up front, so emitting never regrows it.
+    fn plan_size(&self, live: &[bool], fusion: &FusionMap) -> (usize, usize) {
+        // Per node: (steps producing its value, spilled). Reshapes and
+        // fused members copy their source's entry when visited, which is
+        // after the source is final.
+        let mut value = vec![(0usize, false); live.len()];
+        let (mut steps, mut deps) = (0usize, 0usize);
+        // Reading a value: its producers, or one reload step that
+        // depends on them.
+        let fetch = |(len, spilled): (usize, bool), steps: &mut usize, deps: &mut usize| {
+            if spilled {
+                *steps += 1;
+                *deps += len;
+                1
+            } else {
+                len
+            }
+        };
+        for node in self.graph.nodes() {
+            let id = node.id.index();
+            if !live[id] {
+                continue;
+            }
+            if let Some(root) = fusion.root_of(node.id) {
+                value[id] = value[root.index()];
+                continue;
+            }
+            let len = match node.op {
+                HloOp::Constant => continue,
+                HloOp::Reshape { input } => {
+                    value[id] = value[input.index()];
+                    continue;
+                }
+                HloOp::Parameter => {
+                    steps += 1;
+                    value[id] = (1, self.spills(node));
+                    continue;
+                }
+                HloOp::Embedding { .. } => {
+                    steps += 1;
+                    1
+                }
+                HloOp::Dot { .. } | HloOp::Conv2d { .. } | HloOp::BatchMatmul { .. } => {
+                    let gemm = self.gemm(node);
+                    let act = fetch(value[gemm.act.index()], &mut steps, &mut deps);
+                    let rhs = value[gemm.rhs.index()];
+                    let streamed = gemm.rhs_is_weight
+                        && (matches!(self.graph.node(gemm.rhs).op, HloOp::Constant) || rhs.0 == 0);
+                    let (_, chunks) = self.column_tiling(gemm.cols);
+                    let chunks = chunks as usize;
+                    for c in 0..chunks {
+                        let weights = if streamed {
+                            steps += 1;
+                            deps += usize::from(!self.options.double_buffer && c > 0);
+                            1
+                        } else {
+                            fetch(rhs, &mut steps, &mut deps)
+                        };
+                        steps += 1;
+                        deps += weights + act;
+                        if self.accum_emulate {
+                            steps += 1;
+                            deps += 1;
+                        }
+                    }
+                    if self.cluster_ops[id].is_some() {
+                        steps += 1;
+                        deps += chunks;
+                        1
+                    } else {
+                        chunks
+                    }
+                }
+                HloOp::Activate { .. }
+                | HloOp::Binary { .. }
+                | HloOp::Softmax { .. }
+                | HloOp::LayerNorm { .. }
+                | HloOp::GateReduce { .. }
+                | HloOp::MaxPool2d { .. } => {
+                    for o in node.op.operands() {
+                        let read = fetch(value[o.index()], &mut steps, &mut deps);
+                        deps += read;
+                    }
+                    steps += 1;
+                    1
+                }
+            };
+            value[id] = if self.spills(node) {
+                steps += 1;
+                deps += len;
+                (1, true)
+            } else {
+                (len, false)
+            };
+        }
+        let outputs = self.graph.outputs();
+        for (i, out) in outputs.iter().enumerate() {
+            let (len, spilled) = value[out.index()];
+            if !spilled && !outputs[..i].contains(out) {
+                steps += 1;
+                deps += len;
+            }
+        }
+        (steps, deps)
+    }
+
     /// Where a matmul's right-hand operand comes from: constants stream
     /// from their planned home (HBM or CMEM); computed operands are
     /// already in VMEM.
@@ -421,16 +620,8 @@ impl Ctx<'_> {
         act_deps.clear();
         self.fetch_operand(act_input, &mut act_deps);
 
-        // Column tiling: bounded by the VMEM working set (memory plan)
-        // and split across the MXU pool so independent output-column
-        // chunks run on different MXUs, as XLA does.
         let d = self.chip.mxu_dim as u64;
-        let pool = (self.chip.mxus_per_core * self.chip.cores).max(1) as u64;
-        let mut col_tile = self.memory.col_tile.min(cols.max(1));
-        let target_chunks = pool.min(cols.div_ceil(d)).max(1);
-        let per_mxu = cols.div_ceil(target_chunks).div_ceil(d) * d;
-        col_tile = col_tile.min(per_mxu.max(d));
-        let chunks = cols.div_ceil(col_tile).max(1);
+        let (col_tile, chunks) = self.column_tiling(cols);
 
         let mxu = self.pick_mxu();
         let mut prev_compute: Option<StepId> = None;
@@ -583,6 +774,95 @@ mod tests {
         };
         let m = memory::plan(g, chip, opt.cmem_budget_override);
         lower(g, chip, &f, &m, opt)
+    }
+
+    /// Graphs that reach every lowering decision `plan_size` mirrors:
+    /// each op kind, fused and unfused tails, spilled intermediates and
+    /// parameters (read as activations and as weights), weights behind a
+    /// reshape, and a repeated output.
+    fn sizing_graphs() -> Vec<Graph> {
+        let mut all = Graph::new("allops", DType::Bf16);
+        let img = all.parameter(&[1, 64, 64, 32]).unwrap();
+        let k = all.constant(&[3, 3, 32, 512]).unwrap();
+        let c = all.conv2d(img, k, 1).unwrap();
+        let p = all.max_pool2d(c, 2).unwrap();
+        let table = all.constant(&[3000, 256]).unwrap();
+        let e = all.embedding(table, 8, 64).unwrap();
+        let ef = all.reshape(e, &[512, 256]).unwrap();
+        let w = all.constant(&[256, 4096]).unwrap();
+        let d = all.dot(ef, w).unwrap();
+        let sm = all.softmax(d).unwrap();
+        let ln = all.layer_norm(sm).unwrap();
+        let gr = all.gate_reduce(ln, 4).unwrap();
+        let act = all
+            .activate(gr, tpu_numerics::activation::Activation::Gelu)
+            .unwrap();
+        let b = all.batch_matmul(ln, ln, 32, 256, 256, 256).unwrap();
+        let sum = all.add(act, act).unwrap();
+        all.mark_output(sum);
+        all.mark_output(b);
+        all.mark_output(p);
+        all.mark_output(sum);
+
+        let mut spill = Graph::new("spill", DType::Bf16);
+        let x = spill.parameter(&[1024, 1024]).unwrap();
+        let big = spill.parameter(&[4096, 4096]).unwrap();
+        let w = spill.constant(&[1024, 8192]).unwrap();
+        let h = spill.dot(x, w).unwrap();
+        let r = spill.relu(h).unwrap();
+        let w2 = spill.constant(&[64, 8192]).unwrap();
+        let w2r = spill.reshape(w2, &[8192, 64]).unwrap();
+        let y = spill.dot(r, w2r).unwrap();
+        let z = spill.dot(h, w2r).unwrap();
+        let s = spill.add(y, z).unwrap();
+        let bx = spill.dot(big, big).unwrap();
+        let g = spill.relu(bx).unwrap();
+        let q = spill.dot(g, big).unwrap();
+        spill.mark_output(s);
+        spill.mark_output(q);
+        vec![all, spill, simple_graph()]
+    }
+
+    #[test]
+    fn plan_size_counts_exactly_what_lowering_emits() {
+        use crate::pipeline::OptLevel;
+        use tpu_arch::Generation;
+        let option_sets = [
+            CompilerOptions::default(),
+            CompilerOptions::level(OptLevel::O0),
+            CompilerOptions::no_cmem(),
+            CompilerOptions::with_cmem_budget(4 << 20),
+            CompilerOptions {
+                bit_exact_with: Some(Generation::TpuV1),
+                ..CompilerOptions::default()
+            },
+        ];
+        let mut spills = 0;
+        for g in sizing_graphs() {
+            g.validate().unwrap();
+            for chip in catalog::all_chips() {
+                for opt in &option_sets {
+                    let f = if opt.fusion {
+                        fuse(&g)
+                    } else {
+                        FusionMap::default()
+                    };
+                    let m = memory::plan(&g, &chip, opt.cmem_budget_override);
+                    let (l, size) = lower_sized(&g, &chip, &f, &m, opt);
+                    let plan = &l.plan;
+                    let edges = plan.steps().iter().map(|s| plan.deps(s.id).len()).sum();
+                    assert_eq!(
+                        size,
+                        (plan.len(), edges),
+                        "{} on {} with {opt:?}",
+                        g.name(),
+                        chip.name
+                    );
+                    spills += plan.steps().iter().filter(|s| s.tag == "spill-in").count();
+                }
+            }
+        }
+        assert!(spills > 0, "the sizing graphs must exercise spills");
     }
 
     #[test]

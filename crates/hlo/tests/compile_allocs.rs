@@ -63,8 +63,10 @@ const BATCHES: [u64; 4] = [1, 8, 64, 256];
 /// When operand lists, shapes and per-node step lists were heap `Vec`s
 /// and the fusion map a `HashMap`, the same set averaged 5,744
 /// allocations per compile. The inline and flat representations bring
-/// it to about 100. The budget leaves a little headroom for incidental
-/// growth, not for a per-node allocation creeping back in.
+/// it to about 100, and sizing the step plan before lowering emits it
+/// (instead of regrowing it) to about 80. The budget leaves a little
+/// headroom for incidental growth, not for a per-node allocation
+/// creeping back in.
 const MEAN_ALLOCS_BUDGET: f64 = 110.0;
 
 /// Allocations one default compile of `graph` on `chip` makes.

@@ -2,7 +2,7 @@
 //! serialized memory channels.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use tpu_arch::{ChipConfig, MemLevel};
@@ -75,7 +75,7 @@ impl Simulator {
     /// factor, preserving relative costs.
     fn calibration(machine: &Machine) -> f64 {
         let chip = machine.chip();
-        let e = chip.node.energy();
+        let e = machine.energy();
         let fastest = chip.fastest_type();
         let mac_pj = match fastest {
             DType::Int8 => e.mac_int8_pj,
@@ -154,8 +154,16 @@ impl Simulator {
     /// caller discards the trace.
     fn run_core(&self, plan: &StepPlan, want_trace: bool) -> Result<(SimReport, Trace), SimError> {
         let chip = self.machine.chip();
-        // Pre-validate.
-        for s in plan.steps() {
+        let n = plan.len();
+        let steps = plan.steps();
+
+        // One pass validates every step and counts each step's
+        // dependencies and dependents. Roots are ready at 0 and enter the
+        // ready queue here, already in (0, id) order.
+        let mut ready = ReadyQueue::with_capacity(n);
+        let mut waiting = vec![0u32; n];
+        let mut dependents_end = vec![0u32; n];
+        for s in steps {
             if let Some((MemLevel::Cmem, _)) = s.kind.channel_bytes() {
                 if chip.cmem.is_none() {
                     return Err(SimError::NoCmem {
@@ -177,33 +185,20 @@ impl Simulator {
                     });
                 }
             }
-        }
-
-        let (mxu_n, vpu_n, dma_n, ici_n) = self.machine.pool_sizes();
-        let mut pools = Pools {
-            mxu: Pool::new(mxu_n),
-            vpu: Pool::new(vpu_n),
-            dma: Pool::new(dma_n),
-            ici: Pool::new(ici_n),
-            hbm_free: 0.0,
-            cmem_free: 0.0,
-        };
-
-        // Dependents in CSR form: count each step's dependents, turn the
-        // counts into start offsets, then fill; each fill cursor ends one
-        // past its step's run, so `dependents_end` doubles as the end
-        // offsets (the plan's own layout, inverted).
-        let n = plan.len();
-        let steps = plan.steps();
-        let mut waiting = vec![0u32; n];
-        let mut dependents_end = vec![0u32; n];
-        for s in steps {
             let deps = plan.deps(s.id);
+            if deps.is_empty() {
+                ready.push(key(0.0, s.id.0));
+            }
             waiting[s.id.index()] = deps.len() as u32;
             for d in deps {
                 dependents_end[d.index()] += 1;
             }
         }
+
+        // Dependents in CSR form: turn the counts into start offsets,
+        // then fill; each fill cursor ends one past its step's run, so
+        // `dependents_end` doubles as the end offsets (the plan's own
+        // layout, inverted).
         let mut edges = 0u32;
         for end in &mut dependents_end {
             let count = *end;
@@ -219,15 +214,22 @@ impl Simulator {
             }
         }
 
-        // Roots are ready at 0 and already in (0, id) order, so they are
-        // read off the plan by a cursor; only steps that become ready
-        // later go through the heap. Merging the two yields exactly one
-        // heap's pop order over all steps.
-        let mut ready_at = vec![0.0f64; n];
-        let mut later: BinaryHeap<Reverse<(TimeKey, u32)>> = BinaryHeap::new();
-        let mut next_root = 0usize;
+        let (mxu_n, vpu_n, dma_n, ici_n) = self.machine.pool_sizes();
+        let mut pools = [
+            Pool::new(mxu_n),
+            Pool::new(vpu_n),
+            Pool::new(dma_n),
+            Pool::new(ici_n),
+        ];
+        let (mut hbm_free, mut cmem_free) = (0.0f64, 0.0f64);
 
-        let mut report = SimReport::new(plan.name(), &chip.name);
+        // Totals, summed in dispatch order and written to the report once.
+        let mut busy = [0.0f64; 6];
+        let mut energy_by = [0.0f64; 6];
+        let mut dynamic_joules = 0.0f64;
+        let (mut flops, mut hbm_bytes, mut cmem_bytes) = (0u64, 0u64, 0u64);
+
+        let mut ready_at = vec![0.0f64; n];
         let mut trace = Trace::default();
         if want_trace {
             trace.entries.reserve(n);
@@ -235,50 +237,33 @@ impl Simulator {
         let mut makespan = 0.0f64;
         let mut done = 0usize;
 
-        loop {
-            while next_root < n && !plan.deps(steps[next_root].id).is_empty() {
-                next_root += 1;
-            }
-            let root = (next_root < n).then_some((TimeKey(0.0), next_root as u32));
-            let (TimeKey(ready_t), id) = match (root, later.peek()) {
-                (Some(r), Some(&Reverse(h))) if h < r => {
-                    later.pop();
-                    h
-                }
-                (Some(r), _) => {
-                    next_root += 1;
-                    r
-                }
-                (None, Some(&Reverse(h))) => {
-                    later.pop();
-                    h
-                }
-                (None, None) => break,
-            };
-            let idx = id as usize;
+        while let Some(next) = ready.pop() {
+            let idx = next as u32 as usize;
+            let ready_t = ready_at[idx];
             let step = &steps[idx];
             let cost = self.machine.step_cost(&step.kind);
 
             // Which unit pool?
-            let (pool, resource) = match step.kind {
-                StepKind::Mxu { .. } => (&mut pools.mxu, Resource::Mxu),
-                StepKind::Vpu { .. } => (&mut pools.vpu, Resource::Vpu),
-                StepKind::DmaIn { .. } | StepKind::DmaOut { .. } => (&mut pools.dma, Resource::Dma),
-                StepKind::Ici { .. } => (&mut pools.ici, Resource::Ici),
+            let resource = match step.kind {
+                StepKind::Mxu { .. } => Resource::Mxu,
+                StepKind::Vpu { .. } => Resource::Vpu,
+                StepKind::DmaIn { .. } | StepKind::DmaOut { .. } => Resource::Dma,
+                StepKind::Ici { .. } => Resource::Ici,
             };
-            let (unit_idx, unit_free) = pool.min_free();
+            let pool = &mut pools[resource.index()];
+            let (unit_idx, unit_free) = pool.earliest_free();
             // Serialized channel, if any.
             let channel = self.machine.channel_of(&step.kind);
             let chan_free = match channel {
-                Some(MemLevel::Hbm) => pools.hbm_free,
-                Some(MemLevel::Cmem) => pools.cmem_free,
+                Some(MemLevel::Hbm) => hbm_free,
+                Some(MemLevel::Cmem) => cmem_free,
                 _ => 0.0,
             };
 
             let start = ready_t.max(unit_free).max(chan_free);
             let end = start + cost.unit_seconds;
-            pool.occupy_min(end);
-            report.add_busy(resource, cost.unit_seconds);
+            pool.occupy_earliest(end);
+            busy[resource.index()] += cost.unit_seconds;
             if want_trace {
                 trace.entries.push(TraceEntry {
                     step: step.id,
@@ -291,25 +276,24 @@ impl Simulator {
             }
             match channel {
                 Some(MemLevel::Hbm) => {
-                    pools.hbm_free = start + cost.channel_seconds;
-                    report.add_busy(Resource::HbmChannel, cost.channel_seconds);
+                    hbm_free = start + cost.channel_seconds;
+                    busy[Resource::HbmChannel.index()] += cost.channel_seconds;
                 }
                 Some(MemLevel::Cmem) => {
-                    pools.cmem_free = start + cost.channel_seconds;
-                    report.add_busy(Resource::CmemChannel, cost.channel_seconds);
+                    cmem_free = start + cost.channel_seconds;
+                    busy[Resource::CmemChannel.index()] += cost.channel_seconds;
                 }
                 _ => {}
             }
 
-            report.dynamic_joules += cost.energy_joules * self.dyn_scale;
-            report.add_energy(resource, cost.energy_joules * self.dyn_scale);
-            report.flops += step.kind.flops();
-            if let Some((level, bytes)) = step.kind.channel_bytes() {
-                match level {
-                    MemLevel::Hbm => report.hbm_bytes += bytes,
-                    MemLevel::Cmem => report.cmem_bytes += bytes,
-                    _ => {}
-                }
+            let joules = cost.energy_joules * self.dyn_scale;
+            dynamic_joules += joules;
+            energy_by[resource.index()] += joules;
+            flops += step.kind.flops();
+            match step.kind.channel_bytes() {
+                Some((MemLevel::Hbm, bytes)) => hbm_bytes += bytes,
+                Some((MemLevel::Cmem, bytes)) => cmem_bytes += bytes,
+                _ => {}
             }
 
             makespan = makespan.max(end);
@@ -322,7 +306,7 @@ impl Simulator {
                 ready_at[d] = ready_at[d].max(end);
                 waiting[d] -= 1;
                 if waiting[d] == 0 {
-                    later.push(Reverse((TimeKey(ready_at[d]), dep)));
+                    ready.push(key(ready_at[d], dep));
                 }
             }
         }
@@ -335,72 +319,117 @@ impl Simulator {
             plan.name()
         );
 
+        let mut report = SimReport::new(plan.name(), &chip.name);
         report.seconds = makespan;
+        report.dynamic_joules = dynamic_joules;
         report.static_joules = self.machine.static_watts() * makespan;
-        report.set_pool_sizes(mxu_n, vpu_n, dma_n, ici_n);
+        report.flops = flops;
+        report.hbm_bytes = hbm_bytes;
+        report.cmem_bytes = cmem_bytes;
         report.steps = n;
+        report.set_totals(busy, energy_by, [mxu_n, vpu_n, dma_n, ici_n]);
         Ok((report, trace))
     }
 }
 
-/// Wrapper giving `f64` a total order for heap keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TimeKey(f64);
+/// A `(time, index)` scheduling key packed into one integer: the time's
+/// `total_cmp`-ordered bits in the high part, a step id or unit index in
+/// the low 32 bits. Integer order is `(time by total_cmp, index)` order.
+type Key = u128;
 
-impl Eq for TimeKey {}
+fn key(t: f64, index: u32) -> Key {
+    (Key::from(ordered_bits(t)) << 32) | Key::from(index)
+}
 
-impl PartialOrd for TimeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// Maps an `f64` to a `u64` whose unsigned order is `f64::total_cmp`'s:
+/// positive values gain the sign bit, negative ones are inverted.
+fn ordered_bits(t: f64) -> u64 {
+    let bits = t.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+/// Inverse of [`ordered_bits`].
+fn time_of(key: Key) -> f64 {
+    let bits = (key >> 32) as u64;
+    f64::from_bits(bits ^ (!((bits as i64 >> 63) as u64) | 1 << 63))
+}
+
+/// The ready steps, popped in `(ready time, step id)` order.
+///
+/// Dispatch runs in ready-time order, so a push usually lands at or
+/// above the previous one: pushes that keep order append to a sorted
+/// FIFO, and those below its back go to a side heap, which stays far
+/// smaller than one heap over every ready step. A pop takes the smaller
+/// of the two fronts. Every key is unique (it holds a step id), so the
+/// pop sequence is exactly a single heap's.
+#[derive(Debug)]
+struct ReadyQueue {
+    sorted: VecDeque<Key>,
+    late: BinaryHeap<Reverse<Key>>,
+}
+
+impl ReadyQueue {
+    /// A queue for a plan of `n` steps: neither side outgrows `n`, so a
+    /// run allocates it once.
+    fn with_capacity(n: usize) -> ReadyQueue {
+        ReadyQueue {
+            sorted: VecDeque::with_capacity(n),
+            late: BinaryHeap::with_capacity(n),
+        }
+    }
+
+    fn push(&mut self, key: Key) {
+        match self.sorted.back() {
+            Some(&last) if key < last => self.late.push(Reverse(key)),
+            _ => self.sorted.push_back(key),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Key> {
+        match (self.sorted.front(), self.late.peek()) {
+            (Some(&s), Some(&Reverse(l))) if l < s => self.late.pop().map(|Reverse(k)| k),
+            (Some(_), _) => self.sorted.pop_front(),
+            (None, _) => self.late.pop().map(|Reverse(k)| k),
+        }
     }
 }
 
-impl Ord for TimeKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// A pool of identical units, kept as a min-heap on `(free time, unit)`
-/// so the earliest-free unit, lowest index on ties, is at the top.
+/// A pool of identical units, sorted by `(free time, unit)` so the
+/// earliest-free unit, lowest index on ties, is at the front. A unit
+/// usually goes back at the end; otherwise a binary search places it,
+/// and the shift is short because the catalog's pools hold at most 80
+/// units.
 #[derive(Debug)]
 struct Pool {
-    free: BinaryHeap<Reverse<(TimeKey, u32)>>,
+    free: VecDeque<Key>,
 }
 
 impl Pool {
     fn new(n: usize) -> Pool {
         Pool {
-            free: (0..n.max(1) as u32)
-                .map(|unit| Reverse((TimeKey(0.0), unit)))
-                .collect(),
+            free: (0..n.max(1) as u32).map(|unit| key(0.0, unit)).collect(),
         }
     }
 
     /// The earliest-free unit: `(index, free_time)`.
-    fn min_free(&self) -> (usize, f64) {
-        self.free
-            .peek()
-            .map_or((0, 0.0), |&Reverse((TimeKey(t), unit))| (unit as usize, t))
+    fn earliest_free(&self) -> (usize, f64) {
+        let front = self.free[0];
+        (front as u32 as usize, time_of(front))
     }
 
-    /// Marks the unit [`Pool::min_free`] returned busy until `free_at`.
-    fn occupy_min(&mut self, free_at: f64) {
-        if let Some(mut top) = self.free.peek_mut() {
-            let unit = top.0 .1;
-            *top = Reverse((TimeKey(free_at), unit));
+    /// Marks the unit [`Pool::earliest_free`] returned busy until
+    /// `free_at`.
+    fn occupy_earliest(&mut self, free_at: f64) {
+        let unit = self.free.pop_front().expect("a pool has at least one unit") as u32;
+        let k = key(free_at, unit);
+        match self.free.back() {
+            Some(&last) if k < last => {
+                let at = self.free.partition_point(|&x| x < k);
+                self.free.insert(at, k);
+            }
+            _ => self.free.push_back(k),
         }
     }
-}
-
-#[derive(Debug)]
-struct Pools {
-    mxu: Pool,
-    vpu: Pool,
-    dma: Pool,
-    ici: Pool,
-    hbm_free: f64,
-    cmem_free: f64,
 }
 
 #[cfg(test)]
@@ -643,6 +672,159 @@ mod tests {
         }
         assert!(r.seconds > 0.0);
         assert_eq!(r.steps, 3);
+    }
+
+    /// A small deterministic generator (SplitMix64) for the key-stream
+    /// tests.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Times that stress the key packing: zero, the smallest subnormal
+    /// and its neighbours, the smallest normal, and ordinary step-sized
+    /// values, drawn often enough to tie.
+    const TIMES: [f64; 8] = [
+        0.0,
+        f64::from_bits(1),
+        f64::from_bits(2),
+        f64::MIN_POSITIVE,
+        1e-9,
+        1e-9,
+        2.5e-6,
+        3.0,
+    ];
+
+    /// The reference key: time by `total_cmp`, then index.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct RefKey(f64, u32);
+
+    impl Eq for RefKey {}
+
+    impl PartialOrd for RefKey {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for RefKey {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+        }
+    }
+
+    #[test]
+    fn keys_order_like_total_cmp_then_index() {
+        let times = [
+            f64::NEG_INFINITY,
+            -3.0,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1e-9,
+            3.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &a in &times {
+            assert_eq!(
+                time_of(key(a, 7)).to_bits(),
+                a.to_bits(),
+                "{a:e} round trip"
+            );
+            for &b in &times {
+                for (i, j) in [(0, 0), (0, 1), (1, 0), (u32::MAX, 0)] {
+                    assert_eq!(
+                        key(a, i).cmp(&key(b, j)),
+                        RefKey(a, i).cmp(&RefKey(b, j)),
+                        "({a:e}, {i}) vs ({b:e}, {j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ready_queue_pops_like_a_heap() {
+        let mut rng = Mix(1);
+        for round in 0..200 {
+            let mut queue = ReadyQueue::with_capacity(0);
+            let mut reference = BinaryHeap::new();
+            // Mostly ascending times with occasional drops below the
+            // last push, interleaved with pops; ids are unique.
+            let mut clock = 0.0f64;
+            let mut next_id = 0u32;
+            let steps = 1 + rng.below(300);
+            for _ in 0..steps {
+                if rng.below(3) == 0 {
+                    let got = queue.pop().map(|k| (time_of(k).to_bits(), k as u32));
+                    let want = reference
+                        .pop()
+                        .map(|Reverse(RefKey(t, id))| (t.to_bits(), id));
+                    assert_eq!(got, want, "round {round}");
+                    continue;
+                }
+                let t = match rng.below(8) {
+                    0 => TIMES[rng.below(TIMES.len() as u64) as usize],
+                    1 => clock / 2.0,
+                    _ => {
+                        clock += TIMES[rng.below(TIMES.len() as u64) as usize];
+                        clock
+                    }
+                };
+                // Ids arrive out of order too, so equal times tie on id.
+                let id = next_id ^ (rng.below(4) as u32);
+                next_id += 4;
+                queue.push(key(t, id));
+                reference.push(Reverse(RefKey(t, id)));
+            }
+            while let Some(Reverse(RefKey(t, id))) = reference.pop() {
+                let k = queue.pop().expect("queue drained early");
+                assert_eq!((time_of(k).to_bits(), k as u32), (t.to_bits(), id));
+            }
+            assert_eq!(queue.pop(), None);
+        }
+    }
+
+    #[test]
+    fn pools_pick_the_earliest_free_lowest_unit() {
+        let mut rng = Mix(2);
+        for units in [1usize, 2, 4, 7, 80] {
+            let mut pool = Pool::new(units);
+            let mut reference = vec![0.0f64; units];
+            for i in 0..4000 {
+                let want = (0..units)
+                    .min_by(|&a, &b| reference[a].total_cmp(&reference[b]).then(a.cmp(&b)))
+                    .unwrap();
+                let (unit, free) = pool.earliest_free();
+                assert_eq!(
+                    (unit, free.to_bits()),
+                    (want, reference[want].to_bits()),
+                    "{units} units, dispatch {i}"
+                );
+                // Equal durations make ties; zero and subnormal ones keep
+                // a unit at the front.
+                let busy = TIMES[rng.below(TIMES.len() as u64) as usize];
+                let free_at = free + busy;
+                pool.occupy_earliest(free_at);
+                reference[want] = free_at;
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `(duration, energy)` pair for a given [`ChipConfig`]. The engine layers
 //! resource contention on top.
 
-use tpu_arch::{ChipConfig, MemLevel};
+use tpu_arch::{ChipConfig, EnergyTable, MemLevel};
 use tpu_numerics::DType;
 
 /// Cost of executing one step in isolation.
@@ -20,15 +20,37 @@ pub struct StepCost {
 }
 
 /// The timing/energy model for one chip.
+///
+/// Everything [`Machine::step_cost`] reads that depends only on the chip
+/// is derived once here, not per step.
 #[derive(Debug, Clone)]
 pub struct Machine {
     chip: ChipConfig,
+    /// The process node's energy table.
+    energy: EnergyTable,
+    /// `1 / clock_hz`.
+    cycle_seconds: f64,
+    /// VPU operations per cycle: lanes x sublanes.
+    vpu_ops_per_cycle: f64,
+    /// Rows per cycle an int8 MXU step streams: `int8_speedup` on chips
+    /// with native int8, else 1.
+    int8_speed: f64,
 }
 
 impl Machine {
     /// Wraps a chip configuration.
     pub fn new(chip: ChipConfig) -> Machine {
-        Machine { chip }
+        Machine {
+            energy: chip.node.energy(),
+            cycle_seconds: 1.0 / chip.clock_hz,
+            vpu_ops_per_cycle: (chip.vpu_lanes as f64) * (chip.vpu_sublanes as f64),
+            int8_speed: if chip.native_types.contains(&DType::Int8) {
+                chip.int8_speedup
+            } else {
+                1.0
+            },
+            chip,
+        }
     }
 
     /// The wrapped configuration.
@@ -36,9 +58,14 @@ impl Machine {
         &self.chip
     }
 
+    /// The chip's process-node energy table.
+    pub(crate) fn energy(&self) -> &EnergyTable {
+        &self.energy
+    }
+
     /// Cycle time in seconds.
     pub fn cycle_seconds(&self) -> f64 {
-        1.0 / self.chip.clock_hz
+        self.cycle_seconds
     }
 
     /// MXU cycles for a `rows x inner @ inner x cols` tile group.
@@ -60,8 +87,8 @@ impl Machine {
     ) -> f64 {
         let d = self.chip.mxu_dim as u64;
         let tiles = inner.div_ceil(d) * cols.div_ceil(d);
-        let speed = if dtype == DType::Int8 && self.chip.native_types.contains(&DType::Int8) {
-            self.chip.int8_speedup
+        let speed = if dtype == DType::Int8 {
+            self.int8_speed
         } else {
             1.0
         };
@@ -79,7 +106,7 @@ impl Machine {
     /// Duration and energy of a step kind, ignoring contention.
     pub fn step_cost(&self, kind: &crate::plan::StepKind) -> StepCost {
         use crate::plan::StepKind;
-        let e = self.chip.node.energy();
+        let e = &self.energy;
         match *kind {
             StepKind::DmaIn { from, bytes } | StepKind::DmaOut { to: from, bytes } => {
                 let spec = self.chip.mem(from).copied().unwrap_or(self.chip.hbm);
@@ -109,7 +136,7 @@ impl Machine {
                     _ => e.mac_bf16_pj,
                 };
                 StepCost {
-                    unit_seconds: cycles * self.cycle_seconds(),
+                    unit_seconds: cycles * self.cycle_seconds,
                     channel_seconds: 0.0,
                     energy_joules: macs * pj * 1e-12,
                 }
@@ -119,11 +146,10 @@ impl Machine {
                 ops_per_element,
             } => {
                 let ops = (elements * ops_per_element) as f64;
-                let throughput = (self.chip.vpu_lanes as f64) * (self.chip.vpu_sublanes as f64);
-                let cycles = ops / throughput;
+                let cycles = ops / self.vpu_ops_per_cycle;
                 // A VPU ALU op costs roughly a third of an fp32 MAC.
                 StepCost {
-                    unit_seconds: cycles * self.cycle_seconds(),
+                    unit_seconds: cycles * self.cycle_seconds,
                     channel_seconds: 0.0,
                     energy_joules: ops * (e.mac_fp32_pj / 3.0) * 1e-12,
                 }

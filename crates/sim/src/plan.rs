@@ -136,6 +136,14 @@ impl StepPlan {
         }
     }
 
+    /// Reserves room for `steps` more steps with `deps` more dependency
+    /// edges in total, so pushing them does not regrow the plan.
+    pub fn reserve(&mut self, steps: usize, deps: usize) {
+        self.steps.reserve(steps);
+        self.deps_end.reserve(steps);
+        self.deps.reserve(deps);
+    }
+
     /// The plan's name.
     pub fn name(&self) -> &str {
         &self.name

@@ -30,6 +30,11 @@ impl Resource {
         Resource::CmemChannel,
     ];
 
+    /// Position in [`Resource::ALL`], which is declaration order.
+    pub(crate) const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short lowercase name.
     pub const fn name(self) -> &'static str {
         match self {
@@ -96,28 +101,9 @@ impl SimReport {
         }
     }
 
-    fn idx(r: Resource) -> usize {
-        match r {
-            Resource::Mxu => 0,
-            Resource::Vpu => 1,
-            Resource::Dma => 2,
-            Resource::Ici => 3,
-            Resource::HbmChannel => 4,
-            Resource::CmemChannel => 5,
-        }
-    }
-
-    pub(crate) fn add_busy(&mut self, r: Resource, seconds: f64) {
-        self.busy[Self::idx(r)] += seconds;
-    }
-
-    pub(crate) fn add_energy(&mut self, r: Resource, joules: f64) {
-        self.energy_by[Self::idx(r)] += joules;
-    }
-
     /// Busy time of one resource class summed over its pool, seconds.
     pub fn busy_seconds(&self, r: Resource) -> f64 {
-        self.busy[Self::idx(r)]
+        self.busy[r.index()]
     }
 
     /// Dynamic energy attributed to one resource class, joules.
@@ -126,7 +112,7 @@ impl SimReport {
     /// move data over; the sum over all classes equals
     /// [`SimReport::dynamic_joules`].
     pub fn energy_of(&self, r: Resource) -> f64 {
-        self.energy_by[Self::idx(r)]
+        self.energy_by[r.index()]
     }
 
     /// Fraction of *total* energy (incl. static) spent in one class.
@@ -134,7 +120,7 @@ impl SimReport {
         if self.energy_joules <= 0.0 {
             0.0
         } else {
-            self.energy_by[Self::idx(r)] / self.energy_joules
+            self.energy_by[r.index()] / self.energy_joules
         }
     }
 
@@ -147,7 +133,18 @@ impl SimReport {
         }
     }
 
-    pub(crate) fn set_pool_sizes(&mut self, mxu: usize, vpu: usize, dma: usize, ici: usize) {
+    /// Records the per-resource busy time and energy (indexed by
+    /// [`Resource::index`]) and the unit-pool sizes `[mxu, vpu, dma,
+    /// ici]`, and totals the energy. Call after setting
+    /// `dynamic_joules` and `static_joules`.
+    pub(crate) fn set_totals(
+        &mut self,
+        busy: [f64; 6],
+        energy_by: [f64; 6],
+        [mxu, vpu, dma, ici]: [usize; 4],
+    ) {
+        self.busy = busy;
+        self.energy_by = energy_by;
         self.pool_sizes = [mxu, vpu, dma, ici, 1, 1];
         self.energy_joules = self.dynamic_joules + self.static_joules;
     }
@@ -158,7 +155,7 @@ impl SimReport {
         if self.seconds <= 0.0 {
             return 0.0;
         }
-        let i = Self::idx(r);
+        let i = r.index();
         self.busy[i] / (self.seconds * self.pool_sizes[i] as f64)
     }
 
@@ -241,11 +238,20 @@ mod tests {
         r.hbm_bytes = 1_000_000_000;
         r.dynamic_joules = 100.0;
         r.static_joules = 100.0;
-        r.add_busy(Resource::Mxu, 1.0);
-        r.add_energy(Resource::Mxu, 75.0);
-        r.add_energy(Resource::Dma, 25.0);
-        r.set_pool_sizes(2, 1, 4, 1);
+        let mut busy = [0.0; 6];
+        busy[Resource::Mxu.index()] = 1.0;
+        let mut energy_by = [0.0; 6];
+        energy_by[Resource::Mxu.index()] = 75.0;
+        energy_by[Resource::Dma.index()] = 25.0;
+        r.set_totals(busy, energy_by, [2, 1, 4, 1]);
         r
+    }
+
+    #[test]
+    fn index_follows_all() {
+        for (i, r) in Resource::ALL.into_iter().enumerate() {
+            assert_eq!(r.index(), i);
+        }
     }
 
     #[test]

@@ -415,6 +415,69 @@ fn tie_heavy_plan() -> impl Strategy<Value = StepPlan> {
         })
 }
 
+/// A plan shaped like GPU lowering: layers of column chunks, each a
+/// root weight DMA feeding an MXU chunk that also waits on the previous
+/// layer's outputs, with more chunks per layer than the MXU pool has
+/// units (`min_chunks` up) and one cost for every DMA and every MXU
+/// chunk, so free and ready times tie across the pool. A layer's value
+/// is its chunks, or one fused VPU tail over them; an output DMA closes
+/// the plan.
+fn gpu_like_plan(min_chunks: u32) -> impl Strategy<Value = StepPlan> {
+    prop::collection::vec((min_chunks..min_chunks + 40, any::<bool>()), 1..4).prop_map(|layers| {
+        let mut plan = StepPlan::new("gpu-like");
+        let mut value: Vec<StepId> = Vec::new();
+        let mut deps = Vec::new();
+        for (chunks, fused) in layers {
+            let mut outs = Vec::new();
+            for _ in 0..chunks {
+                let weights = plan.push_tagged(
+                    StepKind::DmaIn {
+                        from: MemLevel::Hbm,
+                        bytes: 1 << 14,
+                    },
+                    &[],
+                    "weights",
+                );
+                deps.clear();
+                deps.push(weights);
+                deps.extend_from_slice(&value);
+                outs.push(plan.push_tagged(
+                    StepKind::Mxu {
+                        rows: 8,
+                        cols: 128,
+                        inner: 512,
+                        dtype: DType::Bf16,
+                        weights_resident: false,
+                    },
+                    &deps,
+                    "dot",
+                ));
+            }
+            value = if fused {
+                vec![plan.push_tagged(
+                    StepKind::Vpu {
+                        elements: 1 << 12,
+                        ops_per_element: 1,
+                    },
+                    &outs,
+                    "fused",
+                )]
+            } else {
+                outs
+            };
+        }
+        plan.push_tagged(
+            StepKind::DmaOut {
+                to: MemLevel::Hbm,
+                bytes: 1 << 12,
+            },
+            &value,
+            "output",
+        );
+        plan
+    })
+}
+
 /// Checks `Simulator::run` and `run_traced` against [`reference_run`].
 fn matches_reference(chip: tpu_arch::ChipConfig, plan: &StepPlan) -> Result<(), TestCaseError> {
     let sim = Simulator::new(chip);
@@ -455,5 +518,13 @@ proptest! {
     fn engine_matches_reference_scheduler_t4(plan in random_plan(), ties in tie_heavy_plan()) {
         matches_reference(catalog::gpu_t4_like(), &plan)?;
         matches_reference(catalog::gpu_t4_like(), &ties)?;
+    }
+
+    /// GPU-lowering-shaped plans against the reference, on GPU-T4 (80
+    /// MXUs) and TPUv4i (4 MXUs), in both `run` and `run_traced`.
+    #[test]
+    fn engine_matches_reference_scheduler_on_gpu_like_plans(t4 in gpu_like_plan(81), v4i in gpu_like_plan(5)) {
+        matches_reference(catalog::gpu_t4_like(), &t4)?;
+        matches_reference(catalog::tpu_v4i(), &v4i)?;
     }
 }
